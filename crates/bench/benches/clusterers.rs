@@ -8,11 +8,12 @@ use symclust_cluster::{
 };
 use symclust_core::{DegreeDiscounted, SymmetrizedGraph, Symmetrizer};
 use symclust_datasets::cora_like_scaled;
+use symclust_sparse::Exec;
 
 fn symmetrized(n: usize) -> (symclust_graph::DiGraph, SymmetrizedGraph) {
     let d = cora_like_scaled(n);
     let sym = DegreeDiscounted::default()
-        .symmetrize(&d.graph)
+        .symmetrize(&d.graph, &Exec::default())
         .expect("symmetrize");
     (d.graph, sym)
 }
@@ -22,16 +23,32 @@ fn bench_clusterers(c: &mut Criterion) {
     group.sample_size(10);
     let (digraph, sym) = symmetrized(1500);
     group.bench_function("mlrmcl", |b| {
-        b.iter(|| MlrMcl::with_inflation(2.0).cluster(&sym).unwrap())
+        b.iter(|| {
+            MlrMcl::with_inflation(2.0)
+                .cluster(&sym, &Exec::default())
+                .unwrap()
+        })
     });
     group.bench_function("metis", |b| {
-        b.iter(|| MetisLike::with_k(70).cluster(&sym).unwrap())
+        b.iter(|| {
+            MetisLike::with_k(70)
+                .cluster(&sym, &Exec::default())
+                .unwrap()
+        })
     });
     group.bench_function("graclus", |b| {
-        b.iter(|| GraclusLike::with_k(70).cluster(&sym).unwrap())
+        b.iter(|| {
+            GraclusLike::with_k(70)
+                .cluster(&sym, &Exec::default())
+                .unwrap()
+        })
     });
     group.bench_function("spectral", |b| {
-        b.iter(|| SpectralClustering::with_k(70).cluster(&sym).unwrap())
+        b.iter(|| {
+            SpectralClustering::with_k(70)
+                .cluster(&sym, &Exec::default())
+                .unwrap()
+        })
     });
     group.bench_function("bestwcut_directed", |b| {
         let mut opts = BestWCutOptions {
@@ -51,7 +68,11 @@ fn bench_metis_scaling(c: &mut Criterion) {
     for n in [1000usize, 2000, 4000] {
         let (_, sym) = symmetrized(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| MetisLike::with_k(70).cluster(&sym).unwrap())
+            b.iter(|| {
+                MetisLike::with_k(70)
+                    .cluster(&sym, &Exec::default())
+                    .unwrap()
+            })
         });
     }
     group.finish();

@@ -6,7 +6,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use symclust_graph::generators::{shared_link_dsbm, SharedLinkDsbmConfig};
-use symclust_sparse::{ops, spgemm, spgemm_parallel, spgemm_thresholded, CsrMatrix, SpgemmOptions};
+use symclust_sparse::{ops, spgemm, CsrMatrix, Exec, SpgemmOptions};
+
+/// An [`Exec`] on `threads` threads (`0` = all cores).
+fn on(threads: usize) -> Exec {
+    Exec {
+        threads,
+        ..Exec::default()
+    }
+}
 
 fn test_matrix(n: usize) -> CsrMatrix {
     shared_link_dsbm(&SharedLinkDsbmConfig {
@@ -28,11 +36,10 @@ fn bench_spgemm_scaling(c: &mut Criterion) {
         let a = test_matrix(n);
         let at = ops::transpose(&a);
         group.bench_with_input(BenchmarkId::new("serial", n), &n, |b, _| {
-            b.iter(|| spgemm(&a, &at).unwrap())
+            b.iter(|| spgemm(&a, &at, &SpgemmOptions::default(), &on(1)).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("parallel", n), &n, |b, _| {
-            let opts = SpgemmOptions::default();
-            b.iter(|| spgemm_parallel(&a, &at, &opts).unwrap())
+            b.iter(|| spgemm(&a, &at, &SpgemmOptions::default(), &on(0)).unwrap())
         });
     }
     group.finish();
@@ -53,7 +60,7 @@ fn bench_thresholding(c: &mut Criterion) {
                     drop_diagonal: true,
                     ..Default::default()
                 };
-                b.iter(|| spgemm_thresholded(&a, &at, &opts).unwrap())
+                b.iter(|| spgemm(&a, &at, &opts, &on(1)).unwrap())
             },
         );
     }

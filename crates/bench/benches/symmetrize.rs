@@ -3,11 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use symclust_core::{
-    Bibliometric, BibliometricOptions, DegreeDiscounted, DegreeDiscountedOptions, PlusTranspose,
-    RandomWalk, Symmetrizer,
+    Bibliometric, DegreeDiscounted, DegreeDiscountedOptions, PlusTranspose, RandomWalk, Symmetrizer,
 };
 use symclust_datasets::cora_like_scaled;
 use symclust_graph::DiGraph;
+use symclust_sparse::Exec;
 
 fn graph(n: usize) -> DiGraph {
     cora_like_scaled(n).graph
@@ -18,34 +18,42 @@ fn bench_methods(c: &mut Criterion) {
     group.sample_size(10);
     let g = graph(2100);
     group.bench_function("plus_transpose", |b| {
-        b.iter(|| PlusTranspose.symmetrize(&g).unwrap())
+        b.iter(|| PlusTranspose.symmetrize(&g, &Exec::default()).unwrap())
     });
     group.bench_function("random_walk", |b| {
-        b.iter(|| RandomWalk::default().symmetrize(&g).unwrap())
+        b.iter(|| {
+            RandomWalk::default()
+                .symmetrize(&g, &Exec::default())
+                .unwrap()
+        })
     });
     group.bench_function("bibliometric", |b| {
-        b.iter(|| Bibliometric::default().symmetrize(&g).unwrap())
+        b.iter(|| {
+            Bibliometric::default()
+                .symmetrize(&g, &Exec::default())
+                .unwrap()
+        })
     });
     group.bench_function("degree_discounted", |b| {
-        b.iter(|| DegreeDiscounted::default().symmetrize(&g).unwrap())
+        b.iter(|| {
+            DegreeDiscounted::default()
+                .symmetrize(&g, &Exec::default())
+                .unwrap()
+        })
     });
+    let all_cores = Exec {
+        threads: 0,
+        ..Exec::default()
+    };
     group.bench_function("degree_discounted_parallel", |b| {
-        let algo = DegreeDiscounted {
-            options: DegreeDiscountedOptions {
-                n_threads: 0,
-                ..Default::default()
-            },
-        };
-        b.iter(|| algo.symmetrize(&g).unwrap())
+        b.iter(|| {
+            DegreeDiscounted::default()
+                .symmetrize(&g, &all_cores)
+                .unwrap()
+        })
     });
     group.bench_function("bibliometric_parallel", |b| {
-        let algo = Bibliometric {
-            options: BibliometricOptions {
-                n_threads: 0,
-                ..Default::default()
-            },
-        };
-        b.iter(|| algo.symmetrize(&g).unwrap())
+        b.iter(|| Bibliometric::default().symmetrize(&g, &all_cores).unwrap())
     });
     group.finish();
 }
@@ -56,7 +64,11 @@ fn bench_scaling(c: &mut Criterion) {
     for n in [1000usize, 2000, 4000] {
         let g = graph(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| DegreeDiscounted::default().symmetrize(&g).unwrap())
+            b.iter(|| {
+                DegreeDiscounted::default()
+                    .symmetrize(&g, &Exec::default())
+                    .unwrap()
+            })
         });
     }
     group.finish();

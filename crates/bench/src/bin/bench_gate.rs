@@ -47,8 +47,7 @@ use symclust_bench::gate;
 use symclust_obs::MetricsRegistry;
 use symclust_sparse::spgemm::metric_names;
 use symclust_sparse::{
-    ops, spgemm_observed, spgemm_syrk_sum_observed, AccumStrategy, PanelPlan, SpgemmOptions,
-    SyrkTerm,
+    ops, spgemm, spgemm_syrk_sum, AccumStrategy, Exec, PanelPlan, SpgemmOptions, SyrkTerm,
 };
 
 fn main() {
@@ -173,17 +172,20 @@ fn accum_check(graph_path: &str) -> Result<(), String> {
     let run = |accum: AccumStrategy| -> Result<_, String> {
         let opts = SpgemmOptions {
             drop_diagonal: true,
-            n_threads: 1,
-            accum,
             ..Default::default()
         };
         let mut best: Option<Duration> = None;
         let mut result = None;
         let metrics = MetricsRegistry::new();
         for i in 0..3 {
-            let m = if i == 0 { Some(&metrics) } else { None };
+            let exec = Exec {
+                threads: 1,
+                accum,
+                metrics: (i == 0).then(|| metrics.clone()),
+                ..Exec::default()
+            };
             let t0 = Instant::now();
-            let c = spgemm_syrk_sum_observed(&terms, &opts, None, m).map_err(|e| e.to_string())?;
+            let c = spgemm_syrk_sum(&terms, &opts, &exec).map_err(|e| e.to_string())?;
             let wall = t0.elapsed();
             best = Some(best.map_or(wall, |b| b.min(wall)));
             result = Some(c);
@@ -264,13 +266,16 @@ fn panel_check(graph_path: &str) -> Result<(), String> {
     let run = |panel: PanelPlan, n_threads: usize| -> Result<_, String> {
         let opts = SpgemmOptions {
             drop_diagonal: true,
-            n_threads,
-            panel,
             ..Default::default()
         };
         let metrics = MetricsRegistry::new();
-        let c = spgemm_syrk_sum_observed(&terms, &opts, None, Some(&metrics))
-            .map_err(|e| e.to_string())?;
+        let exec = Exec {
+            threads: n_threads,
+            panel,
+            metrics: Some(metrics.clone()),
+            ..Exec::default()
+        };
+        let c = spgemm_syrk_sum(&terms, &opts, &exec).map_err(|e| e.to_string())?;
         let snap = metrics.snapshot();
         let work: Vec<u64> = WORK_KEYS
             .iter()
@@ -494,23 +499,25 @@ fn syrk_check(graph_path: &str) -> Result<(), String> {
     let at = ops::transpose(&a);
     let opts = SpgemmOptions {
         drop_diagonal: true,
-        n_threads: 1,
         ..Default::default()
+    };
+    let serial_into = |metrics: &MetricsRegistry| Exec {
+        threads: 1,
+        metrics: Some(metrics.clone()),
+        ..Exec::default()
     };
 
     let general_metrics = MetricsRegistry::new();
-    let coupling =
-        spgemm_observed(&a, &at, &opts, None, Some(&general_metrics)).map_err(|e| e.to_string())?;
-    let cocitation =
-        spgemm_observed(&at, &a, &opts, None, Some(&general_metrics)).map_err(|e| e.to_string())?;
+    let general_exec = serial_into(&general_metrics);
+    let coupling = spgemm(&a, &at, &opts, &general_exec).map_err(|e| e.to_string())?;
+    let cocitation = spgemm(&at, &a, &opts, &general_exec).map_err(|e| e.to_string())?;
     let general = ops::add(&coupling, &cocitation).map_err(|e| e.to_string())?;
 
     let syrk_metrics = MetricsRegistry::new();
-    let fused = spgemm_syrk_sum_observed(
+    let fused = spgemm_syrk_sum(
         &[SyrkTerm { x: &a, xt: &at }, SyrkTerm { x: &at, xt: &a }],
         &opts,
-        None,
-        Some(&syrk_metrics),
+        &serial_into(&syrk_metrics),
     )
     .map_err(|e| e.to_string())?;
 
@@ -570,10 +577,15 @@ fn serve_check_in(
 
     let store = Arc::new(DiskStore::open(dir, StoreOptions::default()).map_err(|e| e.to_string())?);
     let cache: TieredCache<symclust_sparse::CsrMatrix> = TieredCache::new(Arc::clone(&store));
+    let observed = |metrics: &MetricsRegistry| Exec {
+        token: Some(token.clone()),
+        metrics: Some(metrics.clone()),
+        ..Exec::default()
+    };
     let cold_metrics = MetricsRegistry::new();
     let t0 = Instant::now();
     let (cold, cold_tier, key) =
-        symmetrize_cached(&cache, g, fp, method, None, token, Some(&cold_metrics))
+        symmetrize_cached(&cache, g, fp, method, None, &observed(&cold_metrics))
             .map_err(|e| e.to_string())?;
     let cold_wall = t0.elapsed();
     if cold_tier != Tier::Computed {
@@ -601,7 +613,7 @@ fn serve_check_in(
         let hit_metrics = MetricsRegistry::new();
         let t1 = Instant::now();
         let (hit, hit_tier, hit_key) =
-            symmetrize_cached(&replay, g, fp, method, None, token, Some(&hit_metrics))
+            symmetrize_cached(&replay, g, fp, method, None, &observed(&hit_metrics))
                 .map_err(|e| e.to_string())?;
         let wall = t1.elapsed();
         if hit_tier != Tier::Disk {

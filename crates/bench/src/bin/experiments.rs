@@ -26,6 +26,7 @@ use symclust_eval::{avg_f_score, correctly_clustered, sign_test};
 use symclust_graph::generators::{figure1_graph, guzmania_graph};
 use symclust_graph::stats::{DegreeHistogram, GraphStats};
 use symclust_sparse::ops::top_k_entries_upper;
+use symclust_sparse::Exec;
 
 struct Config {
     scale: f64,
@@ -271,29 +272,26 @@ fn fig6(cfg: &Config) {
     let sym = dd.symmetrize(&d.graph);
     let mut records: Vec<RunRecord> = Vec::new();
     for k in [20, 40, 70, 100, 140] {
-        records.push(measure(
-            &d.name,
-            &dd,
-            &sym,
-            Clusterer::Metis { k },
-            Some(truth),
-        ));
-        records.push(measure(
-            &d.name,
-            &dd,
-            &sym,
-            Clusterer::Graclus { k },
-            Some(truth),
-        ));
+        records.push(
+            measure(&d.name, &dd, &sym, Clusterer::Metis { k }, Some(truth))
+                .expect("clustering succeeds"),
+        );
+        records.push(
+            measure(&d.name, &dd, &sym, Clusterer::Graclus { k }, Some(truth))
+                .expect("clustering succeeds"),
+        );
     }
     for inflation in [1.4, 2.0, 2.6] {
-        records.push(measure(
-            &d.name,
-            &dd,
-            &sym,
-            Clusterer::MlrMcl { inflation },
-            Some(truth),
-        ));
+        records.push(
+            measure(
+                &d.name,
+                &dd,
+                &sym,
+                Clusterer::MlrMcl { inflation },
+                Some(truth),
+            )
+            .expect("clustering succeeds"),
+        );
     }
     // BestWCut runs on the directed graph directly.
     for k in [20, 40, 70, 100, 140] {
@@ -471,14 +469,16 @@ fn table3(cfg: &Config) {
             &sym,
             Clusterer::MlrMcl { inflation: 2.0 },
             Some(truth),
-        );
+        )
+        .expect("clustering succeeds");
         let m2 = measure(
             &d.name,
             &method,
             &sym,
             Clusterer::Metis { k: n_cats },
             Some(truth),
-        );
+        )
+        .expect("clustering succeeds");
         println!(
             "{:<12.5} {:>10} | {:>8.2} {:>9.2} | {:>8.2} {:>9.2}",
             t,
@@ -536,10 +536,12 @@ fn table4(cfg: &Config) {
             let sym = DegreeDiscounted {
                 options: DegreeDiscountedOptions { threshold, ..opts },
             }
-            .symmetrize(&d.graph)
+            .symmetrize(&d.graph, &Exec::default())
             .expect("symmetrize");
             let k = truth.n_categories();
-            let c = MetisLike::with_k(k).cluster(&sym).expect("metis");
+            let c = MetisLike::with_k(k)
+                .cluster(&sym, &Exec::default())
+                .expect("metis");
             scores.push(avg_f_score(c.assignments(), truth).avg_f);
         }
         println!(
@@ -619,10 +621,18 @@ fn signtest_exp(cfg: &Config) {
     .symmetrize(&d.graph);
     let aat_sym = SymMethod::PlusTranspose.symmetrize(&d.graph);
 
-    let dd_metis = MetisLike::with_k(k).cluster(&dd_sym).unwrap();
-    let aat_metis = MetisLike::with_k(k).cluster(&aat_sym).unwrap();
-    let dd_mcl = MlrMcl::with_inflation(2.0).cluster(&dd_sym).unwrap();
-    let aat_mcl = MlrMcl::with_inflation(2.0).cluster(&aat_sym).unwrap();
+    let dd_metis = MetisLike::with_k(k)
+        .cluster(&dd_sym, &Exec::default())
+        .unwrap();
+    let aat_metis = MetisLike::with_k(k)
+        .cluster(&aat_sym, &Exec::default())
+        .unwrap();
+    let dd_mcl = MlrMcl::with_inflation(2.0)
+        .cluster(&dd_sym, &Exec::default())
+        .unwrap();
+    let aat_mcl = MlrMcl::with_inflation(2.0)
+        .cluster(&aat_sym, &Exec::default())
+        .unwrap();
     let mut bw_opts = BestWCutOptions {
         k,
         ..Default::default()
@@ -669,14 +679,16 @@ fn casestudy() {
         let w = sym.adjacency().get(4, 5);
         println!("{name:<18}: weight(4,5) = {w:.4}");
     }
-    let dd = DegreeDiscounted::default().symmetrize(&g).unwrap();
-    let c = MlrMcl::default().cluster(&dd).unwrap();
+    let dd = DegreeDiscounted::default()
+        .symmetrize(&g, &Exec::default())
+        .unwrap();
+    let c = MlrMcl::default().cluster(&dd, &Exec::default()).unwrap();
     println!(
         "Degree-discounted + MLR-MCL puts 4 and 5 together: {}",
         c.same_cluster(4, 5)
     );
-    let aat = PlusTranspose.symmetrize(&g).unwrap();
-    let c2 = MlrMcl::default().cluster(&aat).unwrap();
+    let aat = PlusTranspose.symmetrize(&g, &Exec::default()).unwrap();
+    let c2 = MlrMcl::default().cluster(&aat, &Exec::default()).unwrap();
     println!(
         "A+A' + MLR-MCL puts 4 and 5 together: {} (but only because it finds {} cluster(s) — it cannot isolate the pair)",
         c2.same_cluster(4, 5),
@@ -685,8 +697,10 @@ fn casestudy() {
 
     println!("\n== Case study: Guzmania cluster (Figure 10) ==");
     let g = guzmania_graph(8);
-    let dd = DegreeDiscounted::default().symmetrize(&g).unwrap();
-    let c = MlrMcl::default().cluster(&dd).unwrap();
+    let dd = DegreeDiscounted::default()
+        .symmetrize(&g, &Exec::default())
+        .unwrap();
+    let c = MlrMcl::default().cluster(&dd, &Exec::default()).unwrap();
     let species_cluster = c.cluster_of(0);
     let together = (0..8).all(|s| c.cluster_of(s) == species_cluster);
     println!("all 8 Guzmania species share a cluster under DD+MLR-MCL: {together}");
@@ -726,7 +740,7 @@ fn ablations(cfg: &Config) {
         options.mcl.max_graph_row_nnz = if cap == usize::MAX { 0 } else { cap };
         let algo = MlrMcl { options };
         let start = Instant::now();
-        let c = algo.cluster(&dd_sym).expect("mlr-mcl");
+        let c = algo.cluster(&dd_sym, &Exec::default()).expect("mlr-mcl");
         let secs = start.elapsed().as_secs_f64();
         let f = avg_f_score(c.assignments(), truth).avg_f;
         let label = if cap == usize::MAX {
@@ -745,10 +759,10 @@ fn ablations(cfg: &Config) {
                 ..Default::default()
             },
         }
-        .symmetrize(&cora.graph)
+        .symmetrize(&cora.graph, &Exec::default())
         .expect("bibliometric");
         let c = MetisLike::with_k(truth.n_categories())
-            .cluster(&sym)
+            .cluster(&sym, &Exec::default())
             .expect("metis");
         let f = avg_f_score(c.assignments(), truth).avg_f;
         println!(
@@ -773,7 +787,7 @@ fn ablations(cfg: &Config) {
         };
         let algo = MlrMcl { options };
         let start = Instant::now();
-        let c = algo.cluster(&dd_sym).expect("mlr-mcl");
+        let c = algo.cluster(&dd_sym, &Exec::default()).expect("mlr-mcl");
         let secs = start.elapsed().as_secs_f64();
         let f = avg_f_score(c.assignments(), truth).avg_f;
         println!(
@@ -805,10 +819,10 @@ fn ablations(cfg: &Config) {
     println!("\n== Ablation 5: Random-walk teleport probability ==");
     for teleport in [0.01, 0.05, 0.15, 0.3] {
         let sym = symclust_core::RandomWalk::with_teleport(teleport)
-            .symmetrize(&cora.graph)
+            .symmetrize(&cora.graph, &Exec::default())
             .expect("random walk");
         let c = MetisLike::with_k(truth.n_categories())
-            .cluster(&sym)
+            .cluster(&sym, &Exec::default())
             .expect("metis");
         let f = avg_f_score(c.assignments(), truth).avg_f;
         println!("teleport={teleport:<5} F={f:.2}");
@@ -847,7 +861,9 @@ fn sweep(cfg: &Config) {
         .enumerate()
         {
             let sym = method.symmetrize(&g.graph);
-            let c = MetisLike::with_k(20).cluster(&sym).expect("metis");
+            let c = MetisLike::with_k(20)
+                .cluster(&sym, &Exec::default())
+                .expect("metis");
             out[i] = avg_f_score(c.assignments(), &g.truth).avg_f;
         }
         (out[0], out[1])

@@ -37,7 +37,8 @@ mod tests {
             &sym,
             Clusterer::Metis { k: 5 },
             Some(&g.truth),
-        );
+        )
+        .expect("clustering succeeds");
         assert_eq!(rec.n_clusters, 5);
         assert!(rec.f_score.unwrap() > 0.0);
         assert!(!rec.to_json().is_empty());

@@ -6,8 +6,9 @@
 //! 1. **kernel-cancel-token** — every public kernel entry point in
 //!    `sparse`/`core`/`cluster`/`store` (SpGEMM, symmetrizations,
 //!    clusterers, PageRank, Lanczos, nibble, cached-kernel wrappers) must
-//!    accept a `CancelToken`, or be on the allowlist of deliberate
-//!    convenience wrappers whose cancellable sibling exists.
+//!    accept an `&Exec`, the execution context that carries the cancel
+//!    token, or be on the allowlist of entry points that do no
+//!    cancellable kernel work.
 //! 2. **metric-name-taxonomy** — every metric name registered in source
 //!    (via `metric_names` constants or inline `.counter("…")`-style calls)
 //!    must appear in DESIGN.md §11, and every bench-gate `EXACT_KEYS`
@@ -19,7 +20,8 @@
 //!    mutex-lock expects (poisoning is fatal by design) and a handful of
 //!    structurally-infallible cases, each with a recorded reason.
 //! 4. **cache-key-purity** — cache-key/fingerprint code must stay
-//!    deterministic: no wall-clock reads and no thread counts may flow
+//!    deterministic: no wall-clock reads and no thread counts (nor any
+//!    other `Exec` knob) may flow
 //!    into `fingerprint.rs`, `cache.rs`, or any `*cache_params*` /
 //!    `chain_key` / `stage_key` / `symmetrize_key` / `cluster_key`
 //!    function body, in the engine or the store (whose on-disk content
@@ -53,7 +55,8 @@
 //! strings, char literals, and lifetimes are classified once, correctly,
 //! for every rule. Every allowlist entry is checked for staleness — an
 //! entry that matches nothing is itself a lint error, so the lists
-//! cannot rot.
+//! cannot rot. Rules 3, 5, 6 and 8 share one table-driven allowlist
+//! matcher ([`AllowRule`]).
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -87,7 +90,7 @@ impl std::fmt::Display for Violation {
 pub const RULES: &[(&str, &str)] = &[
     (
         "kernel-cancel-token",
-        "public kernels in sparse/core/cluster accept a CancelToken (or are allowlisted wrappers)",
+        "public kernels in sparse/core/cluster/store accept an &Exec carrying the cancel token (or are allowlisted)",
     ),
     (
         "metric-name-taxonomy",
@@ -119,40 +122,16 @@ pub const RULES: &[(&str, &str)] = &[
     ),
 ];
 
-/// Public kernels allowed to omit `CancelToken`, with the reason. Every
-/// entry must still match a scanned function (staleness check).
+/// Public kernels allowed to omit `&Exec`, with the reason. Every entry
+/// must still match a scanned function (staleness check).
 const ALLOW_NO_TOKEN: &[(&str, &str)] = &[
-    (
-        "spgemm",
-        "serial convenience wrapper; spgemm_cancellable is the kernel entry",
-    ),
-    (
-        "spgemm_thresholded",
-        "serial convenience wrapper over the cancellable kernel",
-    ),
-    (
-        "spgemm_parallel",
-        "convenience wrapper; forwards to the cancellable runner with a fresh token",
-    ),
     (
         "spgemm_nnz_upper_bound",
         "O(nnz) estimator, not a kernel; used to decide degraded mode",
     ),
     (
-        "spgemm_syrk",
-        "serial convenience wrapper; spgemm_syrk_observed takes the token",
-    ),
-    (
         "spgemm_flops",
         "O(nnz) FLOP estimator, not a kernel; used to size degraded mode",
-    ),
-    (
-        "pagerank",
-        "convenience wrapper; pagerank_cancellable is the kernel entry",
-    ),
-    (
-        "lanczos_smallest",
-        "convenience wrapper; lanczos_smallest_cancellable is the kernel entry",
     ),
     (
         "pagerank_nibble",
@@ -173,10 +152,6 @@ const ALLOW_NO_TOKEN: &[(&str, &str)] = &[
     (
         "cluster_embedding",
         "k-means over a k-dimensional spectral embedding; negligible next to Lanczos",
-    ),
-    (
-        "rmcl_iterate",
-        "single-iteration step; the cancellable driver loops over it",
     ),
     (
         "symmetrize_key",
@@ -229,7 +204,7 @@ const ALLOW_UNWRAP: &[(&str, &str, &str)] = &[
     (
         "engine/src/spec.rs",
         ".expect(",
-        "harness-facing eager API documented to panic; engine path uses the cancellable variants",
+        "harness-facing eager API documented to panic; the engine runs the built symmetrizer under its Exec",
     ),
     (
         "cli/src/commands.rs",
@@ -407,6 +382,10 @@ const CACHE_KEY_BANNED: &[(&str, &str)] = &[
     (
         "SYMCLUST_MEMORY_BUDGET",
         "the spill-budget env knob must not reach cache keys (the panel path is bit-identical)",
+    ),
+    (
+        "Exec",
+        "the execution context (threads, accumulator, panel plan, token, metrics) never changes output and must not reach cache keys",
     ),
 ];
 
@@ -747,6 +726,19 @@ fn collect_pub_fns(file: &SourceFile) -> Vec<PubFn> {
     fns
 }
 
+/// Whether a joined signature takes the execution context: the type name
+/// `Exec` as a whole word (so `ExecCtx` and friends do not count).
+fn takes_exec(signature: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    signature.match_indices("Exec").any(|(at, m)| {
+        !signature[..at].chars().next_back().is_some_and(is_ident)
+            && !signature[at + m.len()..]
+                .chars()
+                .next()
+                .is_some_and(is_ident)
+    })
+}
+
 fn rule_kernel_cancel_token(sources: &[SourceFile]) -> Vec<Violation> {
     let mut violations = Vec::new();
     let mut allow_hits = vec![false; ALLOW_NO_TOKEN.len()];
@@ -759,7 +751,7 @@ fn rule_kernel_cancel_token(sources: &[SourceFile]) -> Vec<Violation> {
             if !is_kernel {
                 continue;
             }
-            if f.signature.contains("CancelToken") {
+            if takes_exec(&f.signature) {
                 continue;
             }
             if let Some(pos) = ALLOW_NO_TOKEN.iter().position(|(n, _)| *n == f.name) {
@@ -771,9 +763,9 @@ fn rule_kernel_cancel_token(sources: &[SourceFile]) -> Vec<Violation> {
                 file: file.rel_path.clone(),
                 line: f.line,
                 message: format!(
-                    "public kernel `{}` does not accept a CancelToken; add one \
-                     (or allowlist it in crates/check with the reason a \
-                     cancellable sibling exists)",
+                    "public kernel `{}` does not accept an `&Exec` (the cancel-token \
+                     carrier); add one (or allowlist it in crates/check with the \
+                     reason it does no cancellable kernel work)",
                     f.name
                 ),
             });
@@ -942,51 +934,29 @@ fn rule_metric_taxonomy(root: &Path, sources: &[SourceFile]) -> Result<Vec<Viola
 
 // ---------------------------------------------------------------- rule 3
 
+/// `.unwrap()` / `.expect(` in library code. Binaries report to humans
+/// and may exit loudly; the check crate lints itself structurally but is
+/// allowed assertions.
+const NO_UNWRAP_EXPECT: AllowRule = AllowRule {
+    rule: "no-unwrap-expect",
+    allow: ALLOW_UNWRAP,
+    table: "allowlist",
+    haystack: Haystack::Raw,
+    mark_every_match: false,
+    applies: |file| !file.is_bin() && file.crate_name() != "check",
+    hit: |code| {
+        let hit = code.contains(".unwrap()") || code.contains(".expect(");
+        // An attribute, e.g. #[allow(...)] listing names, is not a call.
+        (hit && !code.trim_start().starts_with("#[")).then(|| {
+            "library code must not unwrap()/expect(); return an error \
+             (or allowlist with a reason in crates/check)"
+                .into()
+        })
+    },
+};
+
 fn rule_no_unwrap_expect(sources: &[SourceFile]) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    let mut allow_hits = vec![false; ALLOW_UNWRAP.len()];
-    for file in sources {
-        if file.is_bin() || file.crate_name() == "check" {
-            // Binaries report to humans and may exit loudly; the check
-            // crate lints itself structurally but is allowed assertions.
-            continue;
-        }
-        for (lineno, code, raw) in file.lib_lines() {
-            let hit = code.contains(".unwrap()") || code.contains(".expect(");
-            if !hit {
-                continue;
-            }
-            if code.trim_start().starts_with("#[") {
-                continue; // attribute, e.g. #[allow(...)] listing names
-            }
-            if let Some(pos) = ALLOW_UNWRAP
-                .iter()
-                .position(|(path, needle, _)| file.rel_path.ends_with(path) && raw.contains(needle))
-            {
-                allow_hits[pos] = true;
-                continue;
-            }
-            violations.push(Violation {
-                rule: "no-unwrap-expect",
-                file: file.rel_path.clone(),
-                line: lineno,
-                message: "library code must not unwrap()/expect(); return an error \
-                          (or allowlist with a reason in crates/check)"
-                    .into(),
-            });
-        }
-    }
-    for (hit, (path, needle, _)) in allow_hits.iter().zip(ALLOW_UNWRAP) {
-        if !hit {
-            violations.push(Violation {
-                rule: "no-unwrap-expect",
-                file: "crates/check/src/lint.rs".into(),
-                line: 0,
-                message: format!("stale allowlist entry ({path}, {needle:?}) matches nothing"),
-            });
-        }
-    }
-    violations
+    NO_UNWRAP_EXPECT.check(sources)
 }
 
 // ---------------------------------------------------------------- rule 4
@@ -1100,90 +1070,58 @@ fn has_raw_fs_token(code: &str, token: &str) -> bool {
     false
 }
 
+/// The first raw-filesystem token on a stripped code line, if any.
+fn raw_fs_token(code: &str) -> Option<&'static str> {
+    RAW_FS_TOKENS
+        .iter()
+        .copied()
+        .find(|t| has_raw_fs_token(code, t))
+}
+
+const STORE_FAULTFS: AllowRule = AllowRule {
+    rule: "store-faultfs",
+    allow: ALLOW_RAW_FS,
+    table: "allowlist",
+    haystack: Haystack::Code,
+    mark_every_match: false,
+    applies: |file| file.crate_name() == "store" && !file.is_bin(),
+    hit: |code| {
+        raw_fs_token(code).map(|token| {
+            format!(
+                "`{token}` bypasses the faultfs shim; route this call through \
+                 crate::faultfs so fault schedules cover it (or allowlist it \
+                 in crates/check with the reason)"
+            )
+        })
+    },
+};
+
 fn rule_store_faultfs(sources: &[SourceFile]) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    let mut allow_hits = vec![false; ALLOW_RAW_FS.len()];
-    for file in sources {
-        if file.crate_name() != "store" || file.is_bin() {
-            continue;
-        }
-        for (lineno, code, _raw) in file.lib_lines() {
-            let Some(token) = RAW_FS_TOKENS.iter().find(|t| has_raw_fs_token(code, t)) else {
-                continue;
-            };
-            if let Some(pos) = ALLOW_RAW_FS.iter().position(|(path, needle, _)| {
-                file.rel_path.ends_with(path) && code.contains(needle)
-            }) {
-                allow_hits[pos] = true;
-                continue;
-            }
-            violations.push(Violation {
-                rule: "store-faultfs",
-                file: file.rel_path.clone(),
-                line: lineno,
-                message: format!(
-                    "`{token}` bypasses the faultfs shim; route this call through \
-                     crate::faultfs so fault schedules cover it (or allowlist it \
-                     in crates/check with the reason)"
-                ),
-            });
-        }
-    }
-    for (hit, (path, needle, _)) in allow_hits.iter().zip(ALLOW_RAW_FS) {
-        if !hit {
-            violations.push(Violation {
-                rule: "store-faultfs",
-                file: "crates/check/src/lint.rs".into(),
-                line: 0,
-                message: format!("stale allowlist entry ({path}, {needle:?}) matches nothing"),
-            });
-        }
-    }
-    violations
+    STORE_FAULTFS.check(sources)
 }
 
 // ---------------------------------------------------------------- rule 6
 
+const SPARSE_SPILLFS: AllowRule = AllowRule {
+    rule: "sparse-spillfs",
+    allow: ALLOW_SPARSE_RAW_FS,
+    table: "allowlist",
+    haystack: Haystack::Code,
+    mark_every_match: false,
+    applies: |file| file.crate_name() == "sparse" && !file.is_bin(),
+    hit: |code| {
+        raw_fs_token(code).map(|token| {
+            format!(
+                "`{token}` bypasses the spill module; route scratch I/O through \
+                 crate::spill so the RAII cleanup guarantees cover it (or \
+                 allowlist it in crates/check with the reason)"
+            )
+        })
+    },
+};
+
 fn rule_sparse_spillfs(sources: &[SourceFile]) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    let mut allow_hits = vec![false; ALLOW_SPARSE_RAW_FS.len()];
-    for file in sources {
-        if file.crate_name() != "sparse" || file.is_bin() {
-            continue;
-        }
-        for (lineno, code, _raw) in file.lib_lines() {
-            let Some(token) = RAW_FS_TOKENS.iter().find(|t| has_raw_fs_token(code, t)) else {
-                continue;
-            };
-            if let Some(pos) = ALLOW_SPARSE_RAW_FS.iter().position(|(path, needle, _)| {
-                file.rel_path.ends_with(path) && code.contains(needle)
-            }) {
-                allow_hits[pos] = true;
-                continue;
-            }
-            violations.push(Violation {
-                rule: "sparse-spillfs",
-                file: file.rel_path.clone(),
-                line: lineno,
-                message: format!(
-                    "`{token}` bypasses the spill module; route scratch I/O through \
-                     crate::spill so the RAII cleanup guarantees cover it (or \
-                     allowlist it in crates/check with the reason)"
-                ),
-            });
-        }
-    }
-    for (hit, (path, needle, _)) in allow_hits.iter().zip(ALLOW_SPARSE_RAW_FS) {
-        if !hit {
-            violations.push(Violation {
-                rule: "sparse-spillfs",
-                file: "crates/check/src/lint.rs".into(),
-                line: 0,
-                message: format!("stale allowlist entry ({path}, {needle:?}) matches nothing"),
-            });
-        }
-    }
-    violations
+    SPARSE_SPILLFS.check(sources)
 }
 
 // ---------------------------------------------------------------- rule 7
@@ -1303,51 +1241,114 @@ fn rule_error_code_taxonomy(root: &Path) -> Result<Vec<Violation>, String> {
 /// one ordering that silently breaks cross-thread handoff: a flag stored
 /// Relaxed can be observed before the data it guards. The audit forces each
 /// site to state why no data rides on the atomic; stale entries fail.
+const ATOMIC_ORDERING: AllowRule = AllowRule {
+    rule: "atomic-ordering",
+    allow: ALLOW_RELAXED,
+    table: "ALLOW_RELAXED",
+    // The window lets the needle name the atomic even when the ordering
+    // argument of a multi-line call sits on its own line.
+    haystack: Haystack::CodeWindow(RELAXED_WINDOW),
+    mark_every_match: true,
+    applies: |_| true,
+    hit: |code| {
+        code.contains("Ordering::Relaxed").then(|| {
+            "`Ordering::Relaxed` without an ordering-audit entry; if no \
+             cross-thread data rides on this atomic, add a (path, needle, \
+             reason) entry to ALLOW_RELAXED in crates/check/src/lint.rs — \
+             otherwise use Acquire/Release"
+                .into()
+        })
+    },
+};
+
 fn rule_atomic_ordering(sources: &[SourceFile]) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    let mut allow_hits = vec![false; ALLOW_RELAXED.len()];
-    for file in sources {
-        for (lineno, code, _raw) in file.lib_lines() {
-            if !code.contains("Ordering::Relaxed") {
-                continue;
-            }
-            // Window of code lines ending at the occurrence, so the needle
-            // can name the atomic even when the ordering argument of a
-            // multi-line call sits on its own line.
-            let lo = lineno.saturating_sub(RELAXED_WINDOW);
-            let window = file.code_lines[lo..lineno].join("\n");
-            let mut covered = false;
-            for (pos, (path, needle, _)) in ALLOW_RELAXED.iter().enumerate() {
-                if file.rel_path.ends_with(path) && window.contains(needle) {
-                    allow_hits[pos] = true;
-                    covered = true;
+    ATOMIC_ORDERING.check(sources)
+}
+
+// ------------------------------------------------------- allowlist engine
+
+/// Which text of a hit line an allowlist needle is searched in.
+#[derive(Clone, Copy)]
+enum Haystack {
+    /// The comment/string-stripped line.
+    Code,
+    /// The raw source line, so needles can name string literals.
+    Raw,
+    /// The stripped lines of a window of this many lines ending at the hit.
+    CodeWindow(usize),
+}
+
+/// A line rule with a `(path suffix, needle, reason)` allowlist: every hit
+/// line in a file the rule applies to must be covered by an entry whose
+/// path suffix ends the file's path and whose needle appears in the
+/// haystack, and every entry must cover some hit (else it is stale).
+struct AllowRule {
+    rule: &'static str,
+    allow: &'static [(&'static str, &'static str, &'static str)],
+    /// Name of the table in stale-entry messages.
+    table: &'static str,
+    haystack: Haystack,
+    /// Mark every entry covering a hit, not just the first; a later entry
+    /// that only ever shares hits with an earlier one is then not stale.
+    mark_every_match: bool,
+    /// Whether the rule scans `file` at all.
+    applies: fn(&SourceFile) -> bool,
+    /// The violation message for a stripped code line, `None` if the line
+    /// is not a hit.
+    hit: fn(&str) -> Option<String>,
+}
+
+impl AllowRule {
+    fn check(&self, sources: &[SourceFile]) -> Vec<Violation> {
+        let mut violations = Vec::new();
+        let mut allow_hits = vec![false; self.allow.len()];
+        for file in sources.iter().filter(|f| (self.applies)(f)) {
+            for (lineno, code, raw) in file.lib_lines() {
+                let Some(message) = (self.hit)(code) else {
+                    continue;
+                };
+                let haystack = match self.haystack {
+                    Haystack::Code => code.to_string(),
+                    Haystack::Raw => raw.to_string(),
+                    Haystack::CodeWindow(n) => {
+                        file.code_lines[lineno.saturating_sub(n)..lineno].join("\n")
+                    }
+                };
+                let mut covered = false;
+                for (pos, (path, needle, _)) in self.allow.iter().enumerate() {
+                    if file.rel_path.ends_with(path) && haystack.contains(needle) {
+                        allow_hits[pos] = true;
+                        covered = true;
+                        if !self.mark_every_match {
+                            break;
+                        }
+                    }
+                }
+                if !covered {
+                    violations.push(Violation {
+                        rule: self.rule,
+                        file: file.rel_path.clone(),
+                        line: lineno,
+                        message,
+                    });
                 }
             }
-            if !covered {
+        }
+        for (hit, (path, needle, _)) in allow_hits.iter().zip(self.allow) {
+            if !hit {
                 violations.push(Violation {
-                    rule: "atomic-ordering",
-                    file: file.rel_path.clone(),
-                    line: lineno,
-                    message: "`Ordering::Relaxed` without an ordering-audit entry; if no \
-                              cross-thread data rides on this atomic, add a (path, needle, \
-                              reason) entry to ALLOW_RELAXED in crates/check/src/lint.rs — \
-                              otherwise use Acquire/Release"
-                        .into(),
+                    rule: self.rule,
+                    file: "crates/check/src/lint.rs".into(),
+                    line: 0,
+                    message: format!(
+                        "stale {} entry ({path}, {needle:?}) matches nothing",
+                        self.table
+                    ),
                 });
             }
         }
+        violations
     }
-    for (hit, (path, needle, _)) in allow_hits.iter().zip(ALLOW_RELAXED) {
-        if !hit {
-            violations.push(Violation {
-                rule: "atomic-ordering",
-                file: "crates/check/src/lint.rs".into(),
-                line: 0,
-                message: format!("stale ALLOW_RELAXED entry ({path}, {needle:?}) matches nothing"),
-            });
-        }
-    }
-    violations
 }
 
 #[cfg(test)]
@@ -1502,6 +1503,30 @@ mod tests {
         );
         let violations = rule_sparse_spillfs(std::slice::from_ref(&elsewhere));
         assert!(violations.iter().all(|v| v.line == 0), "{violations:?}");
+    }
+
+    #[test]
+    fn exec_is_the_only_token_carrier() {
+        assert!(takes_exec(
+            "pub fn spgemm(a: &CsrMatrix, exec: &Exec) -> Result<CsrMatrix> {"
+        ));
+        assert!(takes_exec("pub fn f(exec: &symclust_sparse::Exec) {"));
+        assert!(!takes_exec("pub fn f(ctx: &ExecCtx<'_>) {"));
+        assert!(!takes_exec("pub fn f(e: &MyExec) {"));
+        assert!(!takes_exec("pub fn f(token: &CancelToken) {"));
+        let file = SourceFile {
+            rel_path: "crates/sparse/src/x.rs".into(),
+            raw_lines: vec!["pub fn spgemm_rogue(token: &CancelToken) {".into()],
+            code_lines: vec!["pub fn spgemm_rogue(token: &CancelToken) {".into()],
+            test_start: usize::MAX,
+        };
+        let violations = rule_kernel_cancel_token(std::slice::from_ref(&file));
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.message.contains("spgemm_rogue")),
+            "{violations:?}"
+        );
     }
 
     #[test]

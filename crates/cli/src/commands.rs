@@ -18,8 +18,15 @@ use symclust_graph::generators::{
 };
 use symclust_graph::stats::GraphStats;
 use symclust_graph::{io, DiGraph, GroundTruth, UnGraph};
+use symclust_sparse::Exec;
 
 type CmdResult = Result<(), String>;
+
+/// The kernel execution context from the `SYMCLUST_*` environment knobs;
+/// a knob set to a value that does not parse fails the command.
+fn kernel_exec() -> Result<Exec, String> {
+    Exec::from_env().map_err(|e| e.to_string())
+}
 
 /// Default symmetry tolerance for `read_ungraph`, overridable per
 /// subcommand with `--tolerance`.
@@ -165,6 +172,7 @@ fn parse_sym_method(
 
 /// `symclust symmetrize`.
 pub fn symmetrize(args: &ParsedArgs) -> CmdResult {
+    let exec = kernel_exec()?;
     let g = read_digraph(args.required("input")?)?;
     let output = args.required("output")?;
     let method = args.get_or("method", "dd".to_string())?;
@@ -196,8 +204,8 @@ pub fn symmetrize(args: &ParsedArgs) -> CmdResult {
     // Construction is delegated to the engine's method registry so the
     // CLI, bench harness, and pipeline executor share one factory.
     let sym = parse_sym_method(&method, alpha, beta, threshold)?
-        .build()
-        .symmetrize(&g)
+        .build(None)
+        .symmetrize(&g, &exec)
         .map_err(|e| e.to_string())?;
 
     let out_graph = DiGraph::from_adjacency(sym.adjacency().clone()).map_err(|e| e.to_string())?;
@@ -214,6 +222,7 @@ pub fn symmetrize(args: &ParsedArgs) -> CmdResult {
 
 /// `symclust cluster`.
 pub fn cluster(args: &ParsedArgs) -> CmdResult {
+    let exec = kernel_exec()?;
     let tolerance: f64 = args.get_or("tolerance", DEFAULT_SYMMETRY_TOLERANCE)?;
     let g = read_ungraph(args.required("input")?, tolerance)?;
     let output = args.required("output")?;
@@ -227,11 +236,13 @@ pub fn cluster(args: &ParsedArgs) -> CmdResult {
     let clustering = match algo.as_str() {
         "mlrmcl" => {
             let inflation: f64 = args.get_or("inflation", 2.0)?;
-            Clusterer::MlrMcl { inflation }.build().cluster_ungraph(&g)
+            Clusterer::MlrMcl { inflation }
+                .build()
+                .cluster_ungraph(&g, &exec)
         }
-        "metis" => Clusterer::Metis { k }.build().cluster_ungraph(&g),
-        "graclus" => Clusterer::Graclus { k }.build().cluster_ungraph(&g),
-        "spectral" => SpectralClustering::with_k(k).cluster_ungraph(&g),
+        "metis" => Clusterer::Metis { k }.build().cluster_ungraph(&g, &exec),
+        "graclus" => Clusterer::Graclus { k }.build().cluster_ungraph(&g, &exec),
+        "spectral" => SpectralClustering::with_k(k).cluster_ungraph(&g, &exec),
         other => return Err(format!("unknown algorithm '{other}'")),
     }
     .map_err(|e| e.to_string())?;
@@ -248,6 +259,7 @@ pub fn cluster(args: &ParsedArgs) -> CmdResult {
 /// `symclust pipeline`: run a full symmetrization × clusterer sweep
 /// through the concurrent engine, rendering structured events live.
 pub fn pipeline(args: &ParsedArgs) -> CmdResult {
+    let exec = kernel_exec()?;
     // Dataset: an edge list (with optional ground truth) or a synthetic model.
     let (name, graph, truth) = if let Some(input) = args.optional("input") {
         let g = read_digraph(input)?;
@@ -323,13 +335,14 @@ pub fn pipeline(args: &ParsedArgs) -> CmdResult {
         memory_budget: args.get::<usize>("memory-budget")?,
         spgemm_threads: args.get::<usize>("sym-threads")?,
         spgemm_accum: args.get::<symclust_sparse::AccumStrategy>("sym-accum")?,
-        spgemm_panel: args.get::<usize>("sym-panel-rows")?.map(|rows| {
-            // Start from the env plan so `--sym-panel-rows` composes with a
-            // SYMCLUST_MEMORY_BUDGET spill budget set in the environment.
-            let mut plan = symclust_sparse::PanelPlan::from_env();
-            plan.panel_rows = Some(rows);
-            plan
-        }),
+        // Start from the env plan so `--sym-panel-rows` composes with a
+        // SYMCLUST_MEMORY_BUDGET spill budget set in the environment.
+        spgemm_panel: args
+            .get::<usize>("sym-panel-rows")?
+            .map(|rows| symclust_sparse::PanelPlan {
+                panel_rows: Some(rows),
+                ..exec.panel.clone()
+            }),
         journal: args.optional("resume").map(std::path::PathBuf::from),
         metrics: None,
         paranoid: args.get_or("paranoid", false)?,

@@ -48,7 +48,7 @@ use symclust_engine::fingerprint::{graph_fingerprint, matrix_fingerprint, Fnv64}
 use symclust_graph::io::read_edge_list;
 use symclust_graph::{DiGraph, UnGraph};
 use symclust_obs::MetricsRegistry;
-use symclust_sparse::{CancelToken, CsrMatrix};
+use symclust_sparse::{CancelToken, CsrMatrix, Exec};
 use symclust_store::{
     cluster_cached, cluster_key, symmetrize_cached, DiskStore, StoreOptions, TieredCache,
 };
@@ -259,6 +259,9 @@ struct ServerState {
     cluster_cache: TieredCache<Clustering>,
     graphs: Mutex<HashMap<u64, Arc<DiGraph>>>,
     metrics: MetricsRegistry,
+    /// Threads, accumulator and panel plan every job's kernels run under,
+    /// read from the environment once at startup.
+    kernel_exec: Exec,
     shutdown: AtomicBool,
     queue_depth: AtomicUsize,
     default_timeout_ms: Option<u64>,
@@ -377,6 +380,7 @@ impl Server {
     /// Binds, spawns the worker pool and accept loop, and returns. The
     /// endpoint is live once this returns.
     pub fn start(opts: ServeOptions) -> Result<Server, String> {
+        let kernel_exec = Exec::from_env().map_err(|e| e.to_string())?;
         let (listener, endpoint) = bind(&opts.bind)?;
         let store = DiskStore::open(
             &opts.store_dir,
@@ -394,6 +398,7 @@ impl Server {
             cluster_cache: TieredCache::new(store),
             graphs: Mutex::new(HashMap::new()),
             metrics,
+            kernel_exec,
             shutdown: AtomicBool::new(false),
             queue_depth: AtomicUsize::new(0),
             default_timeout_ms: opts.default_timeout_ms,
@@ -779,6 +784,11 @@ fn execute(state: &ServerState, job: &Job) -> String {
     if job.token.is_cancelled() {
         return kernel_error(state, job, op, true, "deadline expired before execution");
     }
+    let exec = Exec {
+        token: Some(job.token.clone()),
+        metrics: Some(state.metrics.clone()),
+        ..state.kernel_exec.clone()
+    };
     match &job.env.request {
         Request::UploadGraph { edges } => match read_edge_list(edges.as_bytes()) {
             Err(e) => client_error(
@@ -820,15 +830,7 @@ fn execute(state: &ServerState, job: &Job) -> String {
                     "unknown graph fingerprint; upload-graph first",
                 );
             };
-            match symmetrize_cached(
-                &state.sym_cache,
-                &g,
-                *graph_fp,
-                method,
-                *budget,
-                &job.token,
-                Some(&state.metrics),
-            ) {
+            match symmetrize_cached(&state.sym_cache, &g, *graph_fp, method, *budget, &exec) {
                 Err(e) => kernel_error(state, job, op, e.is_cancelled(), &e.to_string()),
                 Ok((m, _tier, key)) => {
                     let mut resp = protocol::response_ok(op, id);
@@ -855,18 +857,13 @@ fn execute(state: &ServerState, job: &Job) -> String {
                     "unknown graph fingerprint; upload-graph first",
                 );
             };
-            let (adj, sym_key) = match symmetrize_cached(
-                &state.sym_cache,
-                &g,
-                *graph_fp,
-                method,
-                *budget,
-                &job.token,
-                Some(&state.metrics),
-            ) {
-                Err(e) => return kernel_error(state, job, op, e.is_cancelled(), &e.to_string()),
-                Ok((m, _tier, key)) => (m, key),
-            };
+            let (adj, sym_key) =
+                match symmetrize_cached(&state.sym_cache, &g, *graph_fp, method, *budget, &exec) {
+                    Err(e) => {
+                        return kernel_error(state, job, op, e.is_cancelled(), &e.to_string())
+                    }
+                    Ok((m, _tier, key)) => (m, key),
+                };
             let ckey = cluster_key(sym_key, clusterer);
             // Probe both tiers before paying for the UnGraph clone the
             // cold compute path needs.
@@ -874,14 +871,8 @@ fn execute(state: &ServerState, job: &Job) -> String {
                 Some((c, _tier)) => c,
                 None => {
                     let ungraph = UnGraph::from_symmetric_unchecked((*adj).clone());
-                    match cluster_cached(
-                        &state.cluster_cache,
-                        &ungraph,
-                        sym_key,
-                        clusterer,
-                        &job.token,
-                        Some(&state.metrics),
-                    ) {
+                    match cluster_cached(&state.cluster_cache, &ungraph, sym_key, clusterer, &exec)
+                    {
                         Err(e) => {
                             return kernel_error(state, job, op, e.is_cancelled(), &e.to_string())
                         }

@@ -25,7 +25,7 @@ use crate::spectral::cluster_embedding;
 use crate::{ClusterError, Result};
 use symclust_graph::DiGraph;
 use symclust_sparse::{
-    lanczos_smallest, ops, pagerank, CsrMatrix, LanczosOptions, PageRankOptions,
+    lanczos_smallest, ops, pagerank, CsrMatrix, Exec, LanczosOptions, PageRankOptions,
 };
 
 /// Candidate node-weight vectors for the WCut objective.
@@ -115,6 +115,7 @@ impl BestWCut {
                         teleport: self.options.teleport,
                         ..Default::default()
                     },
+                    &Exec::default(),
                 )?
                 .pi
             }
@@ -150,7 +151,7 @@ impl BestWCut {
         for &cand in &self.options.candidates {
             let t = self.weight_vector(g, cand)?;
             let l = wcut_laplacian(g, &t);
-            let eig = lanczos_smallest(&l, k, &self.options.lanczos)?;
+            let eig = lanczos_smallest(&l, k, &self.options.lanczos, &Exec::default())?;
             // Scale eigenvectors by Θ^{-1/2} (undo the symmetrizing change
             // of basis), then cluster rows.
             let t_inv_sqrt: Vec<f64> = t

@@ -25,6 +25,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use symclust_graph::UnGraph;
+use symclust_sparse::Exec;
 
 /// Options for [`GraclusLike`].
 #[derive(Debug, Clone, Copy)]
@@ -203,7 +204,8 @@ impl ClusterAlgorithm for GraclusLike {
         "Graclus".to_string()
     }
 
-    fn cluster_ungraph(&self, g: &UnGraph) -> Result<Clustering> {
+    fn cluster_ungraph(&self, g: &UnGraph, exec: &Exec) -> Result<Clustering> {
+        exec.checkpoint()?;
         let k = self.options.k;
         let n = g.n_nodes();
         if k == 0 {
@@ -307,7 +309,9 @@ mod tests {
     #[test]
     fn recovers_clique_ring() {
         let g = clique_ring(6, 6);
-        let c = GraclusLike::with_k(6).cluster_ungraph(&g).unwrap();
+        let c = GraclusLike::with_k(6)
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         assert_eq!(c.n_clusters(), 6);
         let mut intact = 0;
         for clique in 0..6 {
@@ -348,7 +352,9 @@ mod tests {
     #[test]
     fn multilevel_on_larger_graph() {
         let g = clique_ring(40, 8); // 320 nodes -> coarsening kicks in
-        let c = GraclusLike::with_k(40).cluster_ungraph(&g).unwrap();
+        let c = GraclusLike::with_k(40)
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         let ncut = normalized_cut(&g, c.assignments(), c.n_clusters());
         // Ideal ncut: 40 clusters each with cut 2, vol 8·7+2 = 58 → ~1.38.
         assert!(ncut < 3.0, "ncut = {ncut}");
@@ -358,7 +364,9 @@ mod tests {
     #[test]
     fn handles_isolated_nodes() {
         let g = UnGraph::from_edges(5, &[(0, 1), (1, 2)]).unwrap();
-        let c = GraclusLike::with_k(2).cluster_ungraph(&g).unwrap();
+        let c = GraclusLike::with_k(2)
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         assert_eq!(c.n_nodes(), 5);
         assert!(c.n_clusters() <= 2 + 1); // isolated nodes may pool
     }
@@ -366,13 +374,17 @@ mod tests {
     #[test]
     fn edge_cases() {
         let g = clique_ring(2, 3);
-        assert!(GraclusLike::with_k(0).cluster_ungraph(&g).is_err());
-        let c = GraclusLike::with_k(10).cluster_ungraph(&g).unwrap();
+        assert!(GraclusLike::with_k(0)
+            .cluster_ungraph(&g, &Exec::default())
+            .is_err());
+        let c = GraclusLike::with_k(10)
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         assert_eq!(c.n_clusters(), 6); // k >= n → singletons
         let empty = UnGraph::from_edges(0, &[]).unwrap();
         assert_eq!(
             GraclusLike::with_k(2)
-                .cluster_ungraph(&empty)
+                .cluster_ungraph(&empty, &Exec::default())
                 .unwrap()
                 .n_nodes(),
             0
@@ -390,7 +402,7 @@ mod tests {
                     ..Default::default()
                 },
             };
-            let c = algo.cluster_ungraph(&g).unwrap();
+            let c = algo.cluster_ungraph(&g, &Exec::default()).unwrap();
             assert_eq!(c.n_clusters(), 4, "sigma {sigma}");
         }
     }

@@ -45,6 +45,7 @@ pub use mlrmcl::{MlrMcl, MlrMclOptions};
 pub use spectral::{SpectralClustering, SpectralOptions};
 
 use symclust_graph::UnGraph;
+use symclust_sparse::Exec;
 
 /// Error type for clustering operations.
 #[derive(Debug)]
@@ -126,47 +127,19 @@ pub trait ClusterAlgorithm {
     /// Short human-readable algorithm name.
     fn name(&self) -> String;
 
-    /// Clusters the undirected graph.
-    fn cluster_ungraph(&self, g: &UnGraph) -> Result<Clustering>;
-
-    /// [`cluster_ungraph`](Self::cluster_ungraph) with cooperative
-    /// cancellation.
-    ///
-    /// The default implementation only checks the token before starting —
-    /// fine for the fast partitioners. [`MlrMcl`] overrides it to poll
-    /// between R-MCL iterations, so long flows stop promptly.
-    fn cluster_ungraph_cancellable(
-        &self,
-        g: &UnGraph,
-        token: &symclust_sparse::CancelToken,
-    ) -> Result<Clustering> {
-        token.checkpoint()?;
-        self.cluster_ungraph(g)
-    }
-
-    /// [`cluster_ungraph_cancellable`](Self::cluster_ungraph_cancellable)
-    /// that also records algorithm counters (iterations, convergence —
-    /// DESIGN.md §11) into `metrics`.
-    ///
-    /// The default implementation ignores the registry; [`MlrMcl`]
-    /// overrides it to record R-MCL iteration counts and convergence
-    /// residuals from inside the flow loop.
-    fn cluster_observed(
-        &self,
-        g: &UnGraph,
-        token: &symclust_sparse::CancelToken,
-        metrics: Option<&symclust_obs::MetricsRegistry>,
-    ) -> Result<Clustering> {
-        let _ = metrics;
-        self.cluster_ungraph_cancellable(g, token)
-    }
+    /// Clusters the undirected graph, run per `exec`. The fast
+    /// partitioners check the token before starting; [`MlrMcl`] polls it
+    /// between R-MCL iterations, so long flows stop promptly, and records
+    /// its iteration counts and convergence residuals (DESIGN.md §11) into
+    /// `exec.metrics`.
+    fn cluster_ungraph(&self, g: &UnGraph, exec: &Exec) -> Result<Clustering>;
 
     /// Clusters anything viewable as an undirected graph (ergonomic entry
     /// point; accepts `&UnGraph` or `&SymmetrizedGraph`).
-    fn cluster<G: AsUnGraph>(&self, g: &G) -> Result<Clustering>
+    fn cluster<G: AsUnGraph>(&self, g: &G, exec: &Exec) -> Result<Clustering>
     where
         Self: Sized,
     {
-        self.cluster_ungraph(g.as_ungraph())
+        self.cluster_ungraph(g.as_ungraph(), exec)
     }
 }

@@ -16,6 +16,7 @@ use crate::{ClusterError, Result};
 use std::collections::VecDeque;
 use symclust_core::{RandomWalk, Symmetrizer};
 use symclust_graph::{DiGraph, UnGraph};
+use symclust_sparse::Exec;
 
 /// Options for [`pagerank_nibble`].
 #[derive(Debug, Clone, Copy)]
@@ -244,7 +245,7 @@ pub fn pagerank_nibble_directed(
     opts: &NibbleOptions,
 ) -> Result<LocalCluster> {
     let sym = RandomWalk::default()
-        .symmetrize(g)
+        .symmetrize(g, &Exec::default())
         .map_err(|e| ClusterError::InvalidConfig(format!("symmetrization failed: {e}")))?;
     pagerank_nibble(sym.graph(), seed, opts)
 }

@@ -16,8 +16,7 @@ use crate::clustering::Clustering;
 use crate::{ClusterError, Result};
 use symclust_graph::stats::UnionFind;
 use symclust_graph::UnGraph;
-use symclust_obs::MetricsRegistry;
-use symclust_sparse::{ops, CsrMatrix};
+use symclust_sparse::{ops, CsrMatrix, Exec};
 
 /// Stable metric names recorded by the R-MCL iteration (DESIGN.md §11).
 pub mod metric_names {
@@ -390,35 +389,15 @@ pub fn extract_clusters(flow: &CsrMatrix) -> Clustering {
 
 /// Runs the R-MCL iteration `M := inflate(M · M_G)` starting from `m0`.
 /// Returns the final flow, iterations used and whether it converged.
+/// Polls `exec`'s token before every expand-inflate-prune step, so a
+/// runaway flow computation stops within one iteration of the token
+/// tripping, and records the run's counters into `exec.metrics`.
 pub fn rmcl_iterate(
     m_g: &CsrMatrix,
     m0: CsrMatrix,
     opts: &MclOptions,
     max_iter: usize,
-) -> Result<(CsrMatrix, usize, bool)> {
-    rmcl_iterate_with(m_g, m0, opts, max_iter, None, None)
-}
-
-/// [`rmcl_iterate`] that polls `token` before every expand-inflate-prune
-/// step, so a runaway flow computation stops within one iteration of the
-/// token tripping.
-pub fn rmcl_iterate_cancellable(
-    m_g: &CsrMatrix,
-    m0: CsrMatrix,
-    opts: &MclOptions,
-    max_iter: usize,
-    token: &symclust_sparse::CancelToken,
-) -> Result<(CsrMatrix, usize, bool)> {
-    rmcl_iterate_with(m_g, m0, opts, max_iter, Some(token), None)
-}
-
-pub(crate) fn rmcl_iterate_with(
-    m_g: &CsrMatrix,
-    m0: CsrMatrix,
-    opts: &MclOptions,
-    max_iter: usize,
-    token: Option<&symclust_sparse::CancelToken>,
-    metrics: Option<&MetricsRegistry>,
+    exec: &Exec,
 ) -> Result<(CsrMatrix, usize, bool)> {
     let mut m = m0;
     let mut prev_assignment: Option<Vec<u32>> = None;
@@ -429,9 +408,7 @@ pub(crate) fn rmcl_iterate_with(
     let mut residual = 1.0f64;
     let mut converged = false;
     for iter in 1..=max_iter {
-        if let Some(t) = token {
-            t.checkpoint()?;
-        }
+        exec.checkpoint()?;
         iterations = iter;
         m = expand_inflate_prune(&m, m_g, opts);
         let assignment = extract_clusters(&m).assignments().to_vec();
@@ -451,7 +428,7 @@ pub(crate) fn rmcl_iterate_with(
         }
         prev_assignment = Some(assignment);
     }
-    if let Some(metrics) = metrics {
+    if let Some(metrics) = exec.metrics() {
         metrics.counter(metric_names::RUNS).inc();
         metrics
             .counter(metric_names::ITERATIONS)
@@ -475,7 +452,8 @@ pub fn rmcl(g: &UnGraph, opts: &MclOptions) -> Result<MclResult> {
         )));
     }
     let m_g = canonical_flow_capped(g, opts.max_graph_row_nnz);
-    let (flow, iterations, converged) = rmcl_iterate(&m_g, m_g.clone(), opts, opts.max_iter)?;
+    let (flow, iterations, converged) =
+        rmcl_iterate(&m_g, m_g.clone(), opts, opts.max_iter, &Exec::default())?;
     let clustering = extract_clusters(&flow).with_converged(converged);
     Ok(MclResult {
         clustering,

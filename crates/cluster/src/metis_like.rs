@@ -17,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use symclust_graph::UnGraph;
+use symclust_sparse::Exec;
 
 /// Options for [`MetisLike`].
 #[derive(Debug, Clone, Copy)]
@@ -516,7 +517,8 @@ impl ClusterAlgorithm for MetisLike {
         "Metis".to_string()
     }
 
-    fn cluster_ungraph(&self, g: &UnGraph) -> Result<Clustering> {
+    fn cluster_ungraph(&self, g: &UnGraph, exec: &Exec) -> Result<Clustering> {
+        exec.checkpoint()?;
         let k = self.options.k;
         let n = g.n_nodes();
         if k == 0 {
@@ -605,7 +607,9 @@ mod tests {
     #[test]
     fn produces_exactly_k_balanced_parts() {
         let g = clique_ring(8, 6);
-        let c = MetisLike::with_k(8).cluster_ungraph(&g).unwrap();
+        let c = MetisLike::with_k(8)
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         assert_eq!(c.n_clusters(), 8);
         let sizes = c.sizes();
         for &s in &sizes {
@@ -616,7 +620,9 @@ mod tests {
     #[test]
     fn cuts_cliques_cleanly() {
         let g = clique_ring(4, 8);
-        let c = MetisLike::with_k(4).cluster_ungraph(&g).unwrap();
+        let c = MetisLike::with_k(4)
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         // Edge cut should be exactly the 4 bridge edges.
         let cut = edge_cut(&g, c.assignments());
         assert_eq!(cut, 4.0, "cut = {cut}");
@@ -646,7 +652,9 @@ mod tests {
     #[test]
     fn multilevel_on_larger_graph() {
         let g = clique_ring(32, 8); // 256 nodes
-        let c = MetisLike::with_k(32).cluster_ungraph(&g).unwrap();
+        let c = MetisLike::with_k(32)
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         assert_eq!(c.n_clusters(), 32);
         // Most cliques should be intact.
         let mut intact = 0;
@@ -662,23 +670,31 @@ mod tests {
     #[test]
     fn k_equal_n_gives_singletons() {
         let g = clique_ring(2, 3);
-        let c = MetisLike::with_k(6).cluster_ungraph(&g).unwrap();
+        let c = MetisLike::with_k(6)
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         assert_eq!(c.n_clusters(), 6);
     }
 
     #[test]
     fn rejects_k_zero_and_handles_empty() {
         let g = clique_ring(2, 3);
-        assert!(MetisLike::with_k(0).cluster_ungraph(&g).is_err());
+        assert!(MetisLike::with_k(0)
+            .cluster_ungraph(&g, &Exec::default())
+            .is_err());
         let empty = UnGraph::from_edges(0, &[]).unwrap();
-        let c = MetisLike::with_k(3).cluster_ungraph(&empty).unwrap();
+        let c = MetisLike::with_k(3)
+            .cluster_ungraph(&empty, &Exec::default())
+            .unwrap();
         assert_eq!(c.n_nodes(), 0);
     }
 
     #[test]
     fn handles_disconnected_graph() {
         let g = UnGraph::from_edges(6, &[(0, 1), (2, 3), (4, 5)]).unwrap();
-        let c = MetisLike::with_k(3).cluster_ungraph(&g).unwrap();
+        let c = MetisLike::with_k(3)
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         assert_eq!(c.n_clusters(), 3);
     }
 

@@ -10,11 +10,10 @@
 
 use crate::clustering::Clustering;
 use crate::coarsen::{coarsen_graph, CoarsenOptions};
-use crate::mcl::{canonical_flow_capped, extract_clusters, rmcl_iterate_with, MclOptions};
+use crate::mcl::{canonical_flow_capped, extract_clusters, rmcl_iterate, MclOptions};
 use crate::{ClusterAlgorithm, ClusterError, Result};
 use symclust_graph::UnGraph;
-use symclust_obs::MetricsRegistry;
-use symclust_sparse::{CancelToken, CsrMatrix};
+use symclust_sparse::{CsrMatrix, Exec};
 
 /// Options for [`MlrMcl`].
 #[derive(Debug, Clone, Copy)]
@@ -52,7 +51,9 @@ impl Default for MlrMclOptions {
 /// use symclust_graph::UnGraph;
 /// // Two triangles joined by one edge.
 /// let g = UnGraph::from_edges(6, &[(0,1),(1,2),(0,2),(3,4),(4,5),(3,5),(2,3)]).unwrap();
-/// let c = MlrMcl::default().cluster(&g).unwrap();
+/// let c = MlrMcl::default()
+///     .cluster(&g, &symclust_sparse::Exec::default())
+///     .unwrap();
 /// assert_eq!(c.n_clusters(), 2);
 /// assert!(c.same_cluster(0, 2) && !c.same_cluster(0, 3));
 /// ```
@@ -126,13 +127,12 @@ fn project_flow(coarse_flow: &CsrMatrix, map: &[u32], n_fine: usize) -> CsrMatri
     CsrMatrix::from_raw_parts_unchecked(n_fine, n_fine, indptr, indices, values)
 }
 
-impl MlrMcl {
-    fn cluster_with(
-        &self,
-        g: &UnGraph,
-        token: Option<&CancelToken>,
-        metrics: Option<&MetricsRegistry>,
-    ) -> Result<Clustering> {
+impl ClusterAlgorithm for MlrMcl {
+    fn name(&self) -> String {
+        "MLR-MCL".to_string()
+    }
+
+    fn cluster_ungraph(&self, g: &UnGraph, exec: &Exec) -> Result<Clustering> {
         if self.options.mcl.inflation <= 1.0 {
             return Err(ClusterError::InvalidConfig(format!(
                 "inflation must exceed 1.0, got {}",
@@ -142,28 +142,23 @@ impl MlrMcl {
         if g.n_nodes() == 0 {
             return Ok(Clustering::single_cluster(0));
         }
-        if let Some(t) = token {
-            t.checkpoint()?;
-        }
+        exec.checkpoint()?;
         let levels = coarsen_graph(g, &self.options.coarsen)?;
 
         // R-MCL to convergence on the coarsest graph.
         let coarsest = levels.last().map(|l| &l.graph).unwrap_or(g);
         let m_g_coarse = canonical_flow_capped(coarsest, self.options.mcl.max_graph_row_nnz);
-        let (mut flow, _, mut converged) = rmcl_iterate_with(
+        let (mut flow, _, mut converged) = rmcl_iterate(
             &m_g_coarse,
             m_g_coarse.clone(),
             &self.options.mcl,
             self.options.mcl.max_iter,
-            token,
-            metrics,
+            exec,
         )?;
 
         // Walk back up the hierarchy, refining at each level.
         for level_idx in (0..levels.len()).rev() {
-            if let Some(t) = token {
-                t.checkpoint()?;
-            }
+            exec.checkpoint()?;
             let fine_graph = if level_idx == 0 {
                 g
             } else {
@@ -177,14 +172,8 @@ impl MlrMcl {
             } else {
                 self.options.iterations_per_level
             };
-            let (refined, _, level_converged) = rmcl_iterate_with(
-                &m_g_fine,
-                projected,
-                &self.options.mcl,
-                iters,
-                token,
-                metrics,
-            )?;
+            let (refined, _, level_converged) =
+                rmcl_iterate(&m_g_fine, projected, &self.options.mcl, iters, exec)?;
             flow = refined;
             // Only the final (level-0) run gets the full iteration budget;
             // its convergence is what the best-effort flag reports.
@@ -195,29 +184,6 @@ impl MlrMcl {
             }
         }
         Ok(extract_clusters(&flow).with_converged(converged))
-    }
-}
-
-impl ClusterAlgorithm for MlrMcl {
-    fn name(&self) -> String {
-        "MLR-MCL".to_string()
-    }
-
-    fn cluster_ungraph(&self, g: &UnGraph) -> Result<Clustering> {
-        self.cluster_with(g, None, None)
-    }
-
-    fn cluster_ungraph_cancellable(&self, g: &UnGraph, token: &CancelToken) -> Result<Clustering> {
-        self.cluster_with(g, Some(token), None)
-    }
-
-    fn cluster_observed(
-        &self,
-        g: &UnGraph,
-        token: &CancelToken,
-        metrics: Option<&MetricsRegistry>,
-    ) -> Result<Clustering> {
-        self.cluster_with(g, Some(token), metrics)
     }
 }
 
@@ -243,7 +209,9 @@ mod tests {
     #[test]
     fn recovers_clique_ring_clusters() {
         let g = clique_ring(8, 6); // 48 nodes, forces no coarsening need
-        let c = MlrMcl::default().cluster_ungraph(&g).unwrap();
+        let c = MlrMcl::default()
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         assert_eq!(c.n_clusters(), 8, "sizes: {:?}", c.sizes());
         for clique in 0..8 {
             let first = c.cluster_of(clique * 6);
@@ -266,7 +234,7 @@ mod tests {
                 ..Default::default()
             },
         };
-        let c = algo.cluster_ungraph(&g).unwrap();
+        let c = algo.cluster_ungraph(&g, &Exec::default()).unwrap();
         // Should find close to 64 clusters with cliques kept intact.
         assert!(
             (48..=80).contains(&c.n_clusters()),
@@ -304,22 +272,30 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = UnGraph::from_edges(0, &[]).unwrap();
-        let c = MlrMcl::default().cluster_ungraph(&g).unwrap();
+        let c = MlrMcl::default()
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         assert_eq!(c.n_nodes(), 0);
     }
 
     #[test]
     fn inflation_knob_changes_granularity() {
         let g = clique_ring(6, 5);
-        let coarse = MlrMcl::with_inflation(1.3).cluster_ungraph(&g).unwrap();
-        let fine = MlrMcl::with_inflation(3.0).cluster_ungraph(&g).unwrap();
+        let coarse = MlrMcl::with_inflation(1.3)
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
+        let fine = MlrMcl::with_inflation(3.0)
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         assert!(fine.n_clusters() >= coarse.n_clusters());
     }
 
     #[test]
     fn rejects_bad_inflation() {
         let g = clique_ring(2, 3);
-        assert!(MlrMcl::with_inflation(0.9).cluster_ungraph(&g).is_err());
+        assert!(MlrMcl::with_inflation(0.9)
+            .cluster_ungraph(&g, &Exec::default())
+            .is_err());
     }
 
     #[test]
@@ -331,13 +307,17 @@ mod tests {
     fn converged_flag_reports_exhausted_iteration_budget() {
         let g = clique_ring(8, 6);
         // A run with a normal budget converges and says so.
-        let ok = MlrMcl::default().cluster_ungraph(&g).unwrap();
+        let ok = MlrMcl::default()
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         assert!(ok.converged());
         // One single iteration cannot converge on this graph: the result is
         // best-effort and flagged, not an error.
         let mut options = MlrMclOptions::default();
         options.mcl.max_iter = 1;
-        let best_effort = MlrMcl { options }.cluster_ungraph(&g).unwrap();
+        let best_effort = MlrMcl { options }
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         assert!(!best_effort.converged());
         assert_eq!(best_effort.n_nodes(), g.n_nodes());
     }
@@ -345,22 +325,27 @@ mod tests {
     #[test]
     fn cancelled_token_aborts_clustering() {
         let g = clique_ring(8, 6);
-        let token = CancelToken::new();
+        let token = symclust_sparse::CancelToken::new();
         token.cancel();
-        let err = MlrMcl::default()
-            .cluster_ungraph_cancellable(&g, &token)
-            .unwrap_err();
+        let exec = Exec {
+            token: Some(token),
+            ..Exec::default()
+        };
+        let err = MlrMcl::default().cluster_ungraph(&g, &exec).unwrap_err();
         assert!(err.is_cancelled(), "got {err:?}");
     }
 
     #[test]
     fn live_token_matches_plain_clustering() {
         let g = clique_ring(8, 6);
-        let token = CancelToken::new();
-        let with_token = MlrMcl::default()
-            .cluster_ungraph_cancellable(&g, &token)
+        let exec = Exec {
+            token: Some(symclust_sparse::CancelToken::new()),
+            ..Exec::default()
+        };
+        let with_token = MlrMcl::default().cluster_ungraph(&g, &exec).unwrap();
+        let plain = MlrMcl::default()
+            .cluster_ungraph(&g, &Exec::default())
             .unwrap();
-        let plain = MlrMcl::default().cluster_ungraph(&g).unwrap();
         assert_eq!(with_token.assignments(), plain.assignments());
     }
 
@@ -368,11 +353,13 @@ mod tests {
     fn observed_run_records_mcl_counters() {
         use crate::mcl::metric_names;
         let g = clique_ring(8, 6);
-        let m = MetricsRegistry::new();
-        let token = CancelToken::new();
-        let c = MlrMcl::default()
-            .cluster_observed(&g, &token, Some(&m))
-            .unwrap();
+        let m = symclust_obs::MetricsRegistry::new();
+        let exec = Exec {
+            token: Some(symclust_sparse::CancelToken::new()),
+            metrics: Some(m.clone()),
+            ..Exec::default()
+        };
+        let c = MlrMcl::default().cluster_ungraph(&g, &exec).unwrap();
         assert!(c.converged());
         let snap = m.snapshot();
         assert_eq!(snap.counter(metric_names::RUNS), Some(1));

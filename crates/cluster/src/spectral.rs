@@ -10,7 +10,7 @@ use crate::clustering::Clustering;
 use crate::kmeans::{kmeans, KMeansOptions};
 use crate::{ClusterAlgorithm, ClusterError, Result};
 use symclust_graph::UnGraph;
-use symclust_sparse::{lanczos_smallest, ops, CsrMatrix, LanczosOptions};
+use symclust_sparse::{lanczos_smallest, ops, CsrMatrix, Exec, LanczosOptions};
 
 /// Options for [`SpectralClustering`].
 #[derive(Debug, Clone, Copy)]
@@ -102,7 +102,8 @@ impl ClusterAlgorithm for SpectralClustering {
         "Spectral".to_string()
     }
 
-    fn cluster_ungraph(&self, g: &UnGraph) -> Result<Clustering> {
+    fn cluster_ungraph(&self, g: &UnGraph, exec: &Exec) -> Result<Clustering> {
+        exec.checkpoint()?;
         let k = self.options.k;
         let n = g.n_nodes();
         if k == 0 {
@@ -115,7 +116,7 @@ impl ClusterAlgorithm for SpectralClustering {
             return Ok(Clustering::singletons(n));
         }
         let l = normalized_laplacian(g);
-        let eig = lanczos_smallest(&l, k, &self.options.lanczos)?;
+        let eig = lanczos_smallest(&l, k, &self.options.lanczos, exec)?;
         let kmeans_opts = KMeansOptions {
             k,
             ..self.options.kmeans
@@ -165,7 +166,9 @@ mod tests {
     #[test]
     fn separates_two_cliques() {
         let g = two_cliques_un(6);
-        let c = SpectralClustering::with_k(2).cluster_ungraph(&g).unwrap();
+        let c = SpectralClustering::with_k(2)
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         assert_eq!(c.n_clusters(), 2);
         for i in 0..6 {
             assert!(c.same_cluster(0, i), "node {i} strayed");
@@ -187,7 +190,9 @@ mod tests {
             edges.push((base + 4, (base + 5) % 20));
         }
         let g = UnGraph::from_edges(20, &edges).unwrap();
-        let c = SpectralClustering::with_k(4).cluster_ungraph(&g).unwrap();
+        let c = SpectralClustering::with_k(4)
+            .cluster_ungraph(&g, &Exec::default())
+            .unwrap();
         assert_eq!(c.n_clusters(), 4);
         let mut intact = 0;
         for clique in 0..4 {
@@ -202,10 +207,12 @@ mod tests {
     #[test]
     fn edge_cases() {
         let g = two_cliques_un(3);
-        assert!(SpectralClustering::with_k(0).cluster_ungraph(&g).is_err());
+        assert!(SpectralClustering::with_k(0)
+            .cluster_ungraph(&g, &Exec::default())
+            .is_err());
         assert_eq!(
             SpectralClustering::with_k(100)
-                .cluster_ungraph(&g)
+                .cluster_ungraph(&g, &Exec::default())
                 .unwrap()
                 .n_clusters(),
             6
@@ -213,7 +220,7 @@ mod tests {
         let empty = UnGraph::from_edges(0, &[]).unwrap();
         assert_eq!(
             SpectralClustering::with_k(2)
-                .cluster_ungraph(&empty)
+                .cluster_ungraph(&empty, &Exec::default())
                 .unwrap()
                 .n_nodes(),
             0

@@ -6,6 +6,7 @@ use symclust_cluster::mcl::{canonical_flow, inflate_and_prune, MclOptions};
 use symclust_cluster::metis_like::{edge_cut, kway_refine, recursive_bisection_partition};
 use symclust_cluster::{ClusterAlgorithm, GraclusLike, MetisLike, MlrMcl};
 use symclust_graph::UnGraph;
+use symclust_sparse::Exec;
 
 /// Strategy: a random undirected graph with at least a few edges.
 fn ungraph(max_n: usize, max_edges: usize) -> impl Strategy<Value = UnGraph> {
@@ -20,7 +21,7 @@ proptest! {
 
     #[test]
     fn metis_partition_is_valid(g in ungraph(40, 150), k in 1usize..8) {
-        let c = MetisLike::with_k(k).cluster_ungraph(&g).unwrap();
+        let c = MetisLike::with_k(k).cluster_ungraph(&g, &Exec::default()).unwrap();
         prop_assert_eq!(c.n_nodes(), g.n_nodes());
         // Every node assigned; cluster ids dense.
         for node in 0..g.n_nodes() {
@@ -33,7 +34,7 @@ proptest! {
 
     #[test]
     fn graclus_partition_is_valid(g in ungraph(40, 150), k in 1usize..8) {
-        let c = GraclusLike::with_k(k).cluster_ungraph(&g).unwrap();
+        let c = GraclusLike::with_k(k).cluster_ungraph(&g, &Exec::default()).unwrap();
         prop_assert_eq!(c.n_nodes(), g.n_nodes());
         let sizes = c.sizes();
         prop_assert_eq!(sizes.iter().sum::<usize>(), g.n_nodes());
@@ -42,7 +43,7 @@ proptest! {
 
     #[test]
     fn mlrmcl_partition_is_valid(g in ungraph(30, 100)) {
-        let c = MlrMcl::default().cluster_ungraph(&g).unwrap();
+        let c = MlrMcl::default().cluster_ungraph(&g, &Exec::default()).unwrap();
         prop_assert_eq!(c.n_nodes(), g.n_nodes());
         let sizes = c.sizes();
         prop_assert_eq!(sizes.iter().sum::<usize>(), g.n_nodes());
@@ -109,11 +110,12 @@ proptest! {
     #[test]
     fn fused_kernel_matches_two_step_pipeline(g in ungraph(25, 90), r in 1.2f64..3.0) {
         use symclust_cluster::mcl::expand_inflate_prune;
-        use symclust_sparse::spgemm;
+        use symclust_sparse::{spgemm, SpgemmOptions};
+        let serial = Exec { threads: 1, ..Exec::default() };
         let m_g = canonical_flow(&g);
         let opts = MclOptions { inflation: r, ..Default::default() };
         let fused = expand_inflate_prune(&m_g, &m_g, &opts);
-        let two_step = inflate_and_prune(&spgemm(&m_g, &m_g).unwrap(), &opts);
+        let two_step = inflate_and_prune(&spgemm(&m_g, &m_g, &SpgemmOptions::default(), &serial).unwrap(), &opts);
         prop_assert_eq!(fused.indptr(), two_step.indptr());
         prop_assert_eq!(fused.indices(), two_step.indices());
         for (a, b) in fused.values().iter().zip(two_step.values()) {
@@ -123,11 +125,11 @@ proptest! {
 
     #[test]
     fn clusterers_are_deterministic(g in ungraph(25, 80), k in 2usize..5) {
-        let a = MetisLike::with_k(k).cluster_ungraph(&g).unwrap();
-        let b = MetisLike::with_k(k).cluster_ungraph(&g).unwrap();
+        let a = MetisLike::with_k(k).cluster_ungraph(&g, &Exec::default()).unwrap();
+        let b = MetisLike::with_k(k).cluster_ungraph(&g, &Exec::default()).unwrap();
         prop_assert_eq!(a.assignments(), b.assignments());
-        let a = MlrMcl::default().cluster_ungraph(&g).unwrap();
-        let b = MlrMcl::default().cluster_ungraph(&g).unwrap();
+        let a = MlrMcl::default().cluster_ungraph(&g, &Exec::default()).unwrap();
+        let b = MlrMcl::default().cluster_ungraph(&g, &Exec::default()).unwrap();
         prop_assert_eq!(a.assignments(), b.assignments());
     }
 }

@@ -16,10 +16,8 @@
 use crate::{Result, SymmetrizedGraph, Symmetrizer};
 use std::time::Instant;
 use symclust_graph::{DiGraph, UnGraph};
-use symclust_obs::MetricsRegistry;
 use symclust_sparse::{
-    accum_from_env, ops, spgemm_syrk_sum_budgeted, spgemm_syrk_sum_observed, threads_from_env,
-    AccumStrategy, CancelToken, PanelPlan, SpgemmOptions, SyrkTerm,
+    ops, spgemm_syrk_sum, spgemm_syrk_sum_budgeted, Exec, SpgemmOptions, SyrkTerm,
 };
 
 /// Options for [`Bibliometric`].
@@ -31,27 +29,11 @@ pub struct BibliometricOptions {
     /// multiply (Table 2 uses e.g. 25 for Wikipedia, 0 for Cora).
     /// Default 0.
     pub threshold: f64,
-    /// SpGEMM worker threads: `1` runs serially, `0` uses all available
-    /// cores, `n` uses exactly `n`. The default honors the
-    /// `SYMCLUST_THREADS` environment variable and falls back to serial.
-    /// Output is bit-identical for every setting.
-    pub n_threads: usize,
     /// Memory budget as a cap on the stored nnz of the similarity matrix.
     /// When the Gustavson upper bound exceeds it, the product degrades to
     /// an adaptively thresholded multiply instead of aborting; the result
     /// is flagged [`SymmetrizedGraph::degraded`]. Default `None` (exact).
     pub nnz_budget: Option<usize>,
-    /// Per-row accumulator strategy for the SpGEMM kernels. Like
-    /// `n_threads`, this never changes output bytes — only which code path
-    /// produces them. The default honors `SYMCLUST_ACCUM` and falls back
-    /// to adaptive.
-    pub accum: AccumStrategy,
-    /// Out-of-core panel plan for the SpGEMM kernels. When engaged the
-    /// multiply runs tile by tile and may spill partial products to scratch
-    /// files, bit-identical to the in-memory path. Never part of cache
-    /// keys. The default honors `SYMCLUST_PANEL_ROWS` /
-    /// `SYMCLUST_MEMORY_BUDGET` and falls back to disengaged (in-memory).
-    pub panel: PanelPlan,
 }
 
 impl Default for BibliometricOptions {
@@ -59,10 +41,7 @@ impl Default for BibliometricOptions {
         BibliometricOptions {
             add_identity: true,
             threshold: 0.0,
-            n_threads: threads_from_env().unwrap_or(1),
             nnz_budget: None,
-            accum: accum_from_env().unwrap_or_default(),
-            panel: PanelPlan::from_env(),
         }
     }
 }
@@ -84,13 +63,14 @@ impl Bibliometric {
             },
         }
     }
+}
 
-    fn symmetrize_with(
-        &self,
-        g: &DiGraph,
-        token: Option<&CancelToken>,
-        metrics: Option<&MetricsRegistry>,
-    ) -> Result<SymmetrizedGraph> {
+impl Symmetrizer for Bibliometric {
+    fn name(&self) -> String {
+        "Bibliometric".to_string()
+    }
+
+    fn symmetrize(&self, g: &DiGraph, exec: &Exec) -> Result<SymmetrizedGraph> {
         let start = Instant::now();
         let a_base = g.adjacency();
         let a = if self.options.add_identity {
@@ -106,9 +86,6 @@ impl Bibliometric {
         let opts = SpgemmOptions {
             threshold: self.options.threshold,
             drop_diagonal: true,
-            n_threads: self.options.n_threads,
-            accum: self.options.accum,
-            panel: self.options.panel.clone(),
             ..Default::default()
         };
         let terms = [
@@ -116,13 +93,10 @@ impl Bibliometric {
             SyrkTerm { x: &at, xt: &a }, // AᵀA (co-citation)
         ];
         let (u, degraded) = if let Some(budget) = self.options.nnz_budget {
-            let r = spgemm_syrk_sum_budgeted(&terms, &opts, budget, token, metrics)?;
+            let r = spgemm_syrk_sum_budgeted(&terms, &opts, budget, exec)?;
             (r.matrix, r.degraded)
         } else {
-            (
-                spgemm_syrk_sum_observed(&terms, &opts, token, metrics)?,
-                false,
-            )
+            (spgemm_syrk_sum(&terms, &opts, exec)?, false)
         };
         let mut un = UnGraph::from_symmetric_unchecked(u);
         if let Some(labels) = g.labels() {
@@ -132,29 +106,6 @@ impl Bibliometric {
             SymmetrizedGraph::new(un, self.name(), self.options.threshold, start.elapsed())
                 .with_degraded(degraded),
         )
-    }
-}
-
-impl Symmetrizer for Bibliometric {
-    fn name(&self) -> String {
-        "Bibliometric".to_string()
-    }
-
-    fn symmetrize(&self, g: &DiGraph) -> Result<SymmetrizedGraph> {
-        self.symmetrize_with(g, None, None)
-    }
-
-    fn symmetrize_cancellable(&self, g: &DiGraph, token: &CancelToken) -> Result<SymmetrizedGraph> {
-        self.symmetrize_with(g, Some(token), None)
-    }
-
-    fn symmetrize_observed(
-        &self,
-        g: &DiGraph,
-        token: &CancelToken,
-        metrics: Option<&MetricsRegistry>,
-    ) -> Result<SymmetrizedGraph> {
-        self.symmetrize_with(g, Some(token), metrics)
     }
 }
 
@@ -175,23 +126,25 @@ mod tests {
     #[test]
     fn cancelled_token_aborts_and_live_token_matches() {
         let g = figure1_graph();
-        let token = CancelToken::new();
-        let same = Bibliometric::default()
-            .symmetrize_cancellable(&g, &token)
+        let token = symclust_sparse::CancelToken::new();
+        let exec = Exec {
+            token: Some(token.clone()),
+            ..Exec::default()
+        };
+        let same = Bibliometric::default().symmetrize(&g, &exec).unwrap();
+        let plain = Bibliometric::default()
+            .symmetrize(&g, &Exec::default())
             .unwrap();
-        let plain = Bibliometric::default().symmetrize(&g).unwrap();
         assert_eq!(same.adjacency(), plain.adjacency());
         token.cancel();
-        let err = Bibliometric::default()
-            .symmetrize_cancellable(&g, &token)
-            .unwrap_err();
+        let err = Bibliometric::default().symmetrize(&g, &exec).unwrap_err();
         assert!(err.is_cancelled(), "got {err:?}");
     }
 
     #[test]
     fn connects_figure1_pair() {
         let g = figure1_graph();
-        let s = no_identity().symmetrize(&g).unwrap();
+        let s = no_identity().symmetrize(&g, &Exec::default()).unwrap();
         // Nodes 4 and 5 share 3 out-links (6,7,8) + node 0, and 3 in-links
         // (1,2,3) + node 0: coupling 4, co-citation 4 → weight 8.
         assert_eq!(s.adjacency().get(4, 5), 8.0);
@@ -201,7 +154,7 @@ mod tests {
     fn counts_match_definitions() {
         // A: 0->2, 1->2 ; coupling(0,1) = 1 shared out-link, cocitation = 0.
         let g = DiGraph::from_edges(3, &[(0, 2), (1, 2)]).unwrap();
-        let s = no_identity().symmetrize(&g).unwrap();
+        let s = no_identity().symmetrize(&g, &Exec::default()).unwrap();
         assert_eq!(s.adjacency().get(0, 1), 1.0);
         // Node 2 is commonly pointed-to: cocitation(2, x) = 0 for others...
         assert_eq!(s.adjacency().get(0, 2), 0.0);
@@ -210,17 +163,21 @@ mod tests {
     #[test]
     fn add_identity_preserves_original_edges() {
         let g = figure1_graph();
-        let without = no_identity().symmetrize(&g).unwrap();
+        let without = no_identity().symmetrize(&g, &Exec::default()).unwrap();
         // Edge 1→4 exists but 1 and 4 share no links: absent without +I.
         assert_eq!(without.adjacency().get(1, 4), 0.0);
-        let with = Bibliometric::default().symmetrize(&g).unwrap();
+        let with = Bibliometric::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         assert!(with.adjacency().get(1, 4) > 0.0, "original edge lost");
     }
 
     #[test]
     fn output_is_symmetric() {
         let g = figure1_graph();
-        let s = Bibliometric::default().symmetrize(&g).unwrap();
+        let s = Bibliometric::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         assert!(s.adjacency().is_symmetric(1e-12));
     }
 
@@ -229,7 +186,7 @@ mod tests {
         // Star: all leaves point at 0 → co-citation connects every leaf
         // pair: the quadratic blow-up the paper warns about.
         let g = star_graph(10);
-        let s = no_identity().symmetrize(&g).unwrap();
+        let s = no_identity().symmetrize(&g, &Exec::default()).unwrap();
         for i in 1..10 {
             for j in (i + 1)..10 {
                 assert_eq!(s.adjacency().get(i, j), 1.0);
@@ -249,7 +206,7 @@ mod tests {
                 ..Default::default()
             },
         }
-        .symmetrize(&g)
+        .symmetrize(&g, &Exec::default())
         .unwrap();
         // (4,5) has weight 8, survives; weaker pairs pruned.
         assert_eq!(s.adjacency().get(4, 5), 8.0);
@@ -261,29 +218,30 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let g = figure1_graph();
-        let serial = Bibliometric::default().symmetrize(&g).unwrap();
-        let parallel = Bibliometric {
-            options: BibliometricOptions {
-                n_threads: 0,
-                ..Default::default()
-            },
-        }
-        .symmetrize(&g)
-        .unwrap();
+        let serial = Bibliometric::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
+        let all_cores = Exec {
+            threads: 0,
+            ..Exec::default()
+        };
+        let parallel = Bibliometric::default().symmetrize(&g, &all_cores).unwrap();
         assert_eq!(serial.adjacency(), parallel.adjacency());
     }
 
     #[test]
     fn generous_budget_is_exact_and_not_degraded() {
         let g = figure1_graph();
-        let exact = Bibliometric::default().symmetrize(&g).unwrap();
+        let exact = Bibliometric::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         let budgeted = Bibliometric {
             options: BibliometricOptions {
                 nnz_budget: Some(1_000_000),
                 ..Default::default()
             },
         }
-        .symmetrize(&g)
+        .symmetrize(&g, &Exec::default())
         .unwrap();
         assert!(!budgeted.degraded());
         assert_eq!(exact.adjacency(), budgeted.adjacency());
@@ -301,7 +259,7 @@ mod tests {
                 ..Default::default()
             },
         }
-        .symmetrize(&g)
+        .symmetrize(&g, &Exec::default())
         .unwrap();
         assert!(s.degraded(), "tiny budget on a hub graph must degrade");
         assert!(s.adjacency().is_symmetric(1e-12));
@@ -313,7 +271,7 @@ mod tests {
                 ..Default::default()
             },
         }
-        .symmetrize(&g)
+        .symmetrize(&g, &Exec::default())
         .unwrap();
         assert_eq!(s.adjacency(), again.adjacency());
     }
@@ -321,7 +279,9 @@ mod tests {
     #[test]
     fn diagonal_is_dropped() {
         let g = figure1_graph();
-        let s = Bibliometric::default().symmetrize(&g).unwrap();
+        let s = Bibliometric::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         for i in 0..g.n_nodes() {
             assert_eq!(s.adjacency().get(i, i), 0.0);
         }

@@ -25,7 +25,7 @@ use crate::degree_discounted::DiscountExponent;
 use crate::{Result, SymmetrizeError};
 use std::time::Instant;
 use symclust_graph::UnGraph;
-use symclust_sparse::{ops, spgemm_syrk_observed, CsrMatrix, SpgemmOptions};
+use symclust_sparse::{ops, spgemm_syrk, CsrMatrix, Exec, SpgemmOptions};
 
 /// A bipartite graph with `n_left` left nodes and `n_right` right nodes.
 #[derive(Debug, Clone)]
@@ -143,17 +143,18 @@ pub fn bipartite_degree_discounted(
     ops::scale_rows(&mut x, &f_own).map_err(SymmetrizeError::Sparse)?;
     ops::scale_cols(&mut x, &f_shared_sqrt).map_err(SymmetrizeError::Sparse)?;
     let xt = ops::transpose(&x);
-    let s = spgemm_syrk_observed(
+    let s = spgemm_syrk(
         &x,
         &xt,
         &SpgemmOptions {
             threshold: opts.threshold,
             drop_diagonal: true,
-            n_threads: 0,
             ..Default::default()
         },
-        None,
-        None,
+        &Exec {
+            threads: 0,
+            ..Exec::default()
+        },
     )
     .map_err(SymmetrizeError::Sparse)?;
     Ok(BipartiteProjection {

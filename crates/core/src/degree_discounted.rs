@@ -20,7 +20,7 @@
 //! Both products are computed factored: `Bd = X·Xᵀ` with
 //! `X = Do⁻ᵅ A Di^{-β/2}`, so the discounts are applied in O(nnz) and the
 //! expensive multiply runs through the fused symmetric kernel
-//! ([`symclust_sparse::spgemm_syrk_sum_observed`]): both `X·Xᵀ` terms are
+//! ([`symclust_sparse::spgemm_syrk_sum`]): both `X·Xᵀ` terms are
 //! accumulated upper-triangle-only in a single pass, thresholded on the
 //! fly, and mirrored — the full dense-ish similarity matrix (and both
 //! intermediate products) are never materialized (§3.5).
@@ -28,10 +28,8 @@
 use crate::{Result, SymmetrizeError, SymmetrizedGraph, Symmetrizer};
 use std::time::Instant;
 use symclust_graph::{DiGraph, UnGraph};
-use symclust_obs::MetricsRegistry;
 use symclust_sparse::{
-    accum_from_env, ops, spgemm_syrk_sum_budgeted, spgemm_syrk_sum_observed, threads_from_env,
-    AccumStrategy, CancelToken, CsrMatrix, PanelPlan, SpgemmOptions, SyrkTerm,
+    ops, spgemm_syrk_sum, spgemm_syrk_sum_budgeted, CsrMatrix, Exec, SpgemmOptions, SyrkTerm,
 };
 
 /// How a node's degree discounts its similarity contributions (Table 4 rows).
@@ -89,27 +87,11 @@ pub struct DegreeDiscountedOptions {
     /// Apply `A := A + I` first (off by default; the paper describes the
     /// `+I` trick for Bibliometric).
     pub add_identity: bool,
-    /// SpGEMM worker threads: `1` runs serially, `0` uses all available
-    /// cores, `n` uses exactly `n`. The default honors the
-    /// `SYMCLUST_THREADS` environment variable and falls back to serial.
-    /// Output is bit-identical for every setting.
-    pub n_threads: usize,
     /// Memory budget as a cap on the stored nnz of the similarity matrix.
     /// When the Gustavson upper bound exceeds it, the product degrades to
     /// an adaptively thresholded multiply instead of aborting; the result
     /// is flagged [`SymmetrizedGraph::degraded`]. Default `None` (exact).
     pub nnz_budget: Option<usize>,
-    /// Per-row accumulator strategy for the SpGEMM kernels. Like
-    /// `n_threads`, this never changes output bytes — only which code path
-    /// produces them. The default honors `SYMCLUST_ACCUM` and falls back
-    /// to adaptive.
-    pub accum: AccumStrategy,
-    /// Out-of-core panel plan for the SpGEMM kernels. When engaged the
-    /// multiply runs tile by tile and may spill partial products to scratch
-    /// files, bit-identical to the in-memory path. Never part of cache
-    /// keys. The default honors `SYMCLUST_PANEL_ROWS` /
-    /// `SYMCLUST_MEMORY_BUDGET` and falls back to disengaged (in-memory).
-    pub panel: PanelPlan,
 }
 
 impl Default for DegreeDiscountedOptions {
@@ -119,10 +101,7 @@ impl Default for DegreeDiscountedOptions {
             beta: DiscountExponent::Power(0.5),
             threshold: 0.0,
             add_identity: false,
-            n_threads: threads_from_env().unwrap_or(1),
             nnz_budget: None,
-            accum: accum_from_env().unwrap_or_default(),
-            panel: PanelPlan::from_env(),
         }
     }
 }
@@ -134,7 +113,9 @@ impl Default for DegreeDiscountedOptions {
 /// use symclust_graph::generators::figure1_graph;
 /// // Nodes 4 and 5 share all links but never link to each other...
 /// let g = figure1_graph();
-/// let sym = DegreeDiscounted::default().symmetrize(&g).unwrap();
+/// let sym = DegreeDiscounted::default()
+///     .symmetrize(&g, &symclust_sparse::Exec::default())
+///     .unwrap();
 /// // ...yet their degree-discounted similarity is positive.
 /// assert!(sym.adjacency().get(4, 5) > 0.0);
 /// ```
@@ -242,7 +223,9 @@ impl SimilarityFactors {
             .collect()
     }
 
-    /// Computes the full similarity matrix with on-the-fly thresholding.
+    /// Computes the full similarity matrix with on-the-fly thresholding,
+    /// capped at `nnz_budget` stored entries when one is given. Returns
+    /// the matrix and whether the budget forced degradation.
     ///
     /// Both `X·Xᵀ` terms run through the fused symmetric kernel in a
     /// single upper-triangle pass: the *sum* `Bd + Cd` is formed in the
@@ -250,60 +233,18 @@ impl SimilarityFactors {
     /// emission, then mirrored. (The earlier two-product implementation
     /// thresholded each term at `threshold / 2` before adding, which
     /// could lose entries with true sum in `[t, 1.5t)`; fusing removes
-    /// that approximation along with both intermediate matrices.)
-    pub fn full(&self, threshold: f64, n_threads: usize) -> Result<CsrMatrix> {
-        self.full_with(
-            threshold,
-            n_threads,
-            accum_from_env().unwrap_or_default(),
-            PanelPlan::from_env(),
-            None,
-            None,
-            None,
-        )
-        .map(|r| r.0)
-    }
-
-    /// [`full`](Self::full) that polls `token` inside the SpGEMM row loops.
-    pub fn full_cancellable(
+    /// that approximation along with both intermediate matrices.) When
+    /// the Gustavson upper bound exceeds the budget the multiply degrades
+    /// to an adaptively thresholded one.
+    fn full(
         &self,
         threshold: f64,
-        n_threads: usize,
-        token: &CancelToken,
-    ) -> Result<CsrMatrix> {
-        self.full_with(
-            threshold,
-            n_threads,
-            accum_from_env().unwrap_or_default(),
-            PanelPlan::from_env(),
-            Some(token),
-            None,
-            None,
-        )
-        .map(|r| r.0)
-    }
-
-    /// Computes the full matrix like [`full`](Self::full) but caps the
-    /// similarity matrix at `nnz_budget` stored entries, degrading to an
-    /// adaptively thresholded multiply when the Gustavson upper bound
-    /// exceeds it. Returns the matrix and whether degradation occurred.
-    #[allow(clippy::too_many_arguments)]
-    fn full_with(
-        &self,
-        threshold: f64,
-        n_threads: usize,
-        accum: AccumStrategy,
-        panel: PanelPlan,
-        token: Option<&CancelToken>,
         nnz_budget: Option<usize>,
-        metrics: Option<&MetricsRegistry>,
+        exec: &Exec,
     ) -> Result<(CsrMatrix, bool)> {
         let opts = SpgemmOptions {
             threshold,
             drop_diagonal: true,
-            n_threads,
-            accum,
-            panel,
             ..Default::default()
         };
         let terms = [
@@ -317,21 +258,20 @@ impl SimilarityFactors {
             },
         ];
         if let Some(budget) = nnz_budget {
-            let r = spgemm_syrk_sum_budgeted(&terms, &opts, budget, token, metrics)?;
+            let r = spgemm_syrk_sum_budgeted(&terms, &opts, budget, exec)?;
             return Ok((r.matrix, r.degraded));
         }
-        let u = spgemm_syrk_sum_observed(&terms, &opts, token, metrics)?;
+        let u = spgemm_syrk_sum(&terms, &opts, exec)?;
         Ok((u, false))
     }
 }
 
-impl DegreeDiscounted {
-    fn symmetrize_with(
-        &self,
-        g: &DiGraph,
-        token: Option<&CancelToken>,
-        metrics: Option<&MetricsRegistry>,
-    ) -> Result<SymmetrizedGraph> {
+impl Symmetrizer for DegreeDiscounted {
+    fn name(&self) -> String {
+        "Degree-discounted".to_string()
+    }
+
+    fn symmetrize(&self, g: &DiGraph, exec: &Exec) -> Result<SymmetrizedGraph> {
         if let DiscountExponent::Power(p) = self.options.alpha {
             if p < 0.0 {
                 return Err(SymmetrizeError::InvalidConfig(format!(
@@ -348,15 +288,7 @@ impl DegreeDiscounted {
         }
         let start = Instant::now();
         let factors = SimilarityFactors::build(g, &self.options)?;
-        let (u, degraded) = factors.full_with(
-            self.options.threshold,
-            self.options.n_threads,
-            self.options.accum,
-            self.options.panel.clone(),
-            token,
-            self.options.nnz_budget,
-            metrics,
-        )?;
+        let (u, degraded) = factors.full(self.options.threshold, self.options.nnz_budget, exec)?;
         let mut un = UnGraph::from_symmetric_unchecked(u);
         if let Some(labels) = g.labels() {
             un = un.with_labels(labels.to_vec())?;
@@ -365,29 +297,6 @@ impl DegreeDiscounted {
             SymmetrizedGraph::new(un, self.name(), self.options.threshold, start.elapsed())
                 .with_degraded(degraded),
         )
-    }
-}
-
-impl Symmetrizer for DegreeDiscounted {
-    fn name(&self) -> String {
-        "Degree-discounted".to_string()
-    }
-
-    fn symmetrize(&self, g: &DiGraph) -> Result<SymmetrizedGraph> {
-        self.symmetrize_with(g, None, None)
-    }
-
-    fn symmetrize_cancellable(&self, g: &DiGraph, token: &CancelToken) -> Result<SymmetrizedGraph> {
-        self.symmetrize_with(g, Some(token), None)
-    }
-
-    fn symmetrize_observed(
-        &self,
-        g: &DiGraph,
-        token: &CancelToken,
-        metrics: Option<&MetricsRegistry>,
-    ) -> Result<SymmetrizedGraph> {
-        self.symmetrize_with(g, Some(token), metrics)
     }
 }
 
@@ -401,7 +310,9 @@ mod tests {
         // A: 0→2, 1→2. Out-degrees: 1,1,0. In-degrees: 0,0,2.
         // Bd(0,1) = 1 / (1^0.5 · 2^0.5 · 1^0.5) = 1/√2. Cd(0,1) = 0.
         let g = DiGraph::from_edges(3, &[(0, 2), (1, 2)]).unwrap();
-        let s = DegreeDiscounted::default().symmetrize(&g).unwrap();
+        let s = DegreeDiscounted::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         let expected = 1.0 / 2.0f64.sqrt();
         assert!((s.adjacency().get(0, 1) - expected).abs() < 1e-12);
     }
@@ -410,7 +321,7 @@ mod tests {
     fn alpha_beta_zero_recovers_bibliometric_values() {
         let g = figure1_graph();
         let dd = DegreeDiscounted::with_exponents(0.0, 0.0)
-            .symmetrize(&g)
+            .symmetrize(&g, &Exec::default())
             .unwrap();
         let bib = crate::Bibliometric {
             options: crate::BibliometricOptions {
@@ -418,7 +329,7 @@ mod tests {
                 ..Default::default()
             },
         }
-        .symmetrize(&g)
+        .symmetrize(&g, &Exec::default())
         .unwrap();
         assert_eq!(dd.adjacency(), bib.adjacency());
     }
@@ -426,14 +337,18 @@ mod tests {
     #[test]
     fn output_is_symmetric() {
         let g = figure1_graph();
-        let s = DegreeDiscounted::default().symmetrize(&g).unwrap();
+        let s = DegreeDiscounted::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         assert!(s.adjacency().is_symmetric(1e-9));
     }
 
     #[test]
     fn figure1_pair_strongly_connected() {
         let g = figure1_graph();
-        let s = DegreeDiscounted::default().symmetrize(&g).unwrap();
+        let s = DegreeDiscounted::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         let w45 = s.adjacency().get(4, 5);
         assert!(w45 > 0.0);
         // (4,5) should be among the strongest pairs in the graph: they share
@@ -450,7 +365,9 @@ mod tests {
         edges.push((1, 9));
         edges.push((2, 9));
         let g = DiGraph::from_edges(10, &edges).unwrap();
-        let s = DegreeDiscounted::default().symmetrize(&g).unwrap();
+        let s = DegreeDiscounted::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         // Similarity(1,2) includes hub term 1/(√2·√8·√2) and target term
         // 1/(√2·√2·√2); similarity(3,4) only the hub term 1/(1·√8·1).
         let via_both = s.adjacency().get(1, 2);
@@ -464,10 +381,10 @@ mod tests {
     fn stronger_discount_shrinks_hub_weights() {
         let g = star_graph(20);
         let half = DegreeDiscounted::with_exponents(0.5, 0.5)
-            .symmetrize(&g)
+            .symmetrize(&g, &Exec::default())
             .unwrap();
         let full = DegreeDiscounted::with_exponents(1.0, 1.0)
-            .symmetrize(&g)
+            .symmetrize(&g, &Exec::default())
             .unwrap();
         // Leaf pairs share the hub; the 1.0 exponent discounts them harder.
         assert!(full.adjacency().get(1, 2) < half.adjacency().get(1, 2));
@@ -507,7 +424,7 @@ mod tests {
         // equals plain Bibliometric.
         let g = DiGraph::from_edges(5, &[(0, 2), (1, 2), (0, 3)]).unwrap(); // node 4 isolated
         let dd = DegreeDiscounted::with_exponents(0.0, 0.0)
-            .symmetrize(&g)
+            .symmetrize(&g, &Exec::default())
             .unwrap();
         let bib = crate::Bibliometric {
             options: crate::BibliometricOptions {
@@ -515,7 +432,7 @@ mod tests {
                 ..Default::default()
             },
         }
-        .symmetrize(&g)
+        .symmetrize(&g, &Exec::default())
         .unwrap();
         assert_eq!(dd.adjacency(), bib.adjacency());
         // Shared out-link (0,1): one common target, undiscounted weight 1.
@@ -527,7 +444,11 @@ mod tests {
         let g = figure1_graph();
         let opts = DegreeDiscountedOptions::default();
         let factors = SimilarityFactors::build(&g, &opts).unwrap();
-        let full = factors.full(0.0, 1).unwrap();
+        let serial = Exec {
+            threads: 1,
+            ..Exec::default()
+        };
+        let (full, _) = factors.full(0.0, None, &serial).unwrap();
         for i in 0..g.n_nodes() {
             let row = factors.row(i);
             assert_eq!(row.len(), full.row_nnz(i), "row {i} length");
@@ -540,7 +461,9 @@ mod tests {
     #[test]
     fn threshold_is_applied() {
         let g = figure1_graph();
-        let full = DegreeDiscounted::default().symmetrize(&g).unwrap();
+        let full = DegreeDiscounted::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         let max_w = full
             .adjacency()
             .values()
@@ -548,7 +471,7 @@ mod tests {
             .cloned()
             .fold(0.0, f64::max);
         let pruned = DegreeDiscounted::with_threshold(max_w * 0.9)
-            .symmetrize(&g)
+            .symmetrize(&g, &Exec::default())
             .unwrap();
         assert!(pruned.n_edges() < full.n_edges());
         for &v in pruned.adjacency().values() {
@@ -559,15 +482,16 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let g = figure1_graph();
-        let serial = DegreeDiscounted::default().symmetrize(&g).unwrap();
-        let parallel = DegreeDiscounted {
-            options: DegreeDiscountedOptions {
-                n_threads: 0,
-                ..Default::default()
-            },
-        }
-        .symmetrize(&g)
-        .unwrap();
+        let serial = DegreeDiscounted::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
+        let all_cores = Exec {
+            threads: 0,
+            ..Exec::default()
+        };
+        let parallel = DegreeDiscounted::default()
+            .symmetrize(&g, &all_cores)
+            .unwrap();
         assert_eq!(serial.adjacency().indices(), parallel.adjacency().indices());
         for (a, b) in serial
             .adjacency()
@@ -582,10 +506,14 @@ mod tests {
     #[test]
     fn cancelled_token_aborts_symmetrization() {
         let g = figure1_graph();
-        let token = CancelToken::new();
+        let token = symclust_sparse::CancelToken::new();
         token.cancel();
+        let exec = Exec {
+            token: Some(token),
+            ..Exec::default()
+        };
         let err = DegreeDiscounted::default()
-            .symmetrize_cancellable(&g, &token)
+            .symmetrize(&g, &exec)
             .unwrap_err();
         assert!(err.is_cancelled(), "got {err:?}");
     }
@@ -593,25 +521,30 @@ mod tests {
     #[test]
     fn live_token_matches_plain_symmetrize() {
         let g = figure1_graph();
-        let plain = DegreeDiscounted::default().symmetrize(&g).unwrap();
-        let token = CancelToken::new();
-        let cancellable = DegreeDiscounted::default()
-            .symmetrize_cancellable(&g, &token)
+        let plain = DegreeDiscounted::default()
+            .symmetrize(&g, &Exec::default())
             .unwrap();
+        let exec = Exec {
+            token: Some(symclust_sparse::CancelToken::new()),
+            ..Exec::default()
+        };
+        let cancellable = DegreeDiscounted::default().symmetrize(&g, &exec).unwrap();
         assert_eq!(plain.adjacency(), cancellable.adjacency());
     }
 
     #[test]
     fn tight_budget_degrades_and_generous_budget_is_exact() {
         let g = star_graph(40);
-        let exact = DegreeDiscounted::default().symmetrize(&g).unwrap();
+        let exact = DegreeDiscounted::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         let generous = DegreeDiscounted {
             options: DegreeDiscountedOptions {
                 nnz_budget: Some(1_000_000),
                 ..Default::default()
             },
         }
-        .symmetrize(&g)
+        .symmetrize(&g, &Exec::default())
         .unwrap();
         assert!(!generous.degraded());
         assert_eq!(exact.adjacency(), generous.adjacency());
@@ -621,7 +554,7 @@ mod tests {
                 ..Default::default()
             },
         }
-        .symmetrize(&g)
+        .symmetrize(&g, &Exec::default())
         .unwrap();
         assert!(tight.degraded());
         assert!(tight.adjacency().is_symmetric(1e-9));
@@ -631,10 +564,10 @@ mod tests {
     fn rejects_negative_exponents() {
         let g = figure1_graph();
         assert!(DegreeDiscounted::with_exponents(-1.0, 0.5)
-            .symmetrize(&g)
+            .symmetrize(&g, &Exec::default())
             .is_err());
         assert!(DegreeDiscounted::with_exponents(0.5, -0.1)
-            .symmetrize(&g)
+            .symmetrize(&g, &Exec::default())
             .is_err());
     }
 }

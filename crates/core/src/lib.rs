@@ -44,6 +44,7 @@ pub use random_walk::{RandomWalk, RandomWalkOptions};
 pub use symmetrized::SymmetrizedGraph;
 
 use symclust_graph::DiGraph;
+use symclust_sparse::Exec;
 
 /// Error type for symmetrization operations.
 #[derive(Debug)]
@@ -107,40 +108,12 @@ pub trait Symmetrizer {
     /// Short human-readable method name ("A+A'", "Degree-discounted", ...).
     fn name(&self) -> String;
 
-    /// Transforms the directed graph into an undirected one.
-    fn symmetrize(&self, g: &DiGraph) -> Result<SymmetrizedGraph>;
-
-    /// [`symmetrize`](Self::symmetrize) with cooperative cancellation.
-    ///
-    /// The default implementation only checks the token before starting —
-    /// adequate for the cheap methods (`A+Aᵀ`). The similarity methods
-    /// ([`Bibliometric`], [`DegreeDiscounted`]) override it to poll inside
-    /// their SpGEMM row loops, so a multi-second symmetrization stops
-    /// within one row's work of the token tripping.
-    fn symmetrize_cancellable(
-        &self,
-        g: &DiGraph,
-        token: &symclust_sparse::CancelToken,
-    ) -> Result<SymmetrizedGraph> {
-        token.checkpoint()?;
-        self.symmetrize(g)
-    }
-
-    /// [`symmetrize_cancellable`](Self::symmetrize_cancellable) that also
-    /// records kernel work counters (SpGEMM rows/flops/nnz, degraded
-    /// fallbacks — DESIGN.md §11) into `metrics`.
-    ///
-    /// The default implementation ignores the registry — correct for the
-    /// cheap methods, whose cost the engine's stage spans already capture.
-    /// The SpGEMM-backed methods ([`Bibliometric`], [`DegreeDiscounted`])
-    /// override it to thread the registry into their multiply kernels.
-    fn symmetrize_observed(
-        &self,
-        g: &DiGraph,
-        token: &symclust_sparse::CancelToken,
-        metrics: Option<&symclust_obs::MetricsRegistry>,
-    ) -> Result<SymmetrizedGraph> {
-        let _ = metrics;
-        self.symmetrize_cancellable(g, token)
-    }
+    /// Transforms the directed graph into an undirected one, run per
+    /// `exec`. The cheap methods (`A+Aᵀ`, Random Walk) check the token
+    /// before starting; the similarity methods ([`Bibliometric`],
+    /// [`DegreeDiscounted`]) run their SpGEMM under `exec`, so a
+    /// multi-second symmetrization stops within one row's work of the
+    /// token tripping and its work counters (DESIGN.md §11) land in
+    /// `exec.metrics`. The output never depends on `exec`.
+    fn symmetrize(&self, g: &DiGraph, exec: &Exec) -> Result<SymmetrizedGraph>;
 }

@@ -22,7 +22,7 @@
 use crate::degree_discounted::DiscountExponent;
 use crate::{Result, SymmetrizeError};
 use symclust_graph::UnGraph;
-use symclust_sparse::{ops, spgemm_syrk_observed, CsrMatrix, SpgemmOptions};
+use symclust_sparse::{ops, spgemm, spgemm_syrk, CsrMatrix, Exec, SpgemmOptions};
 
 /// A chain of biadjacency matrices: `links[i]` relates layer `i` (rows) to
 /// layer `i+1` (columns).
@@ -104,6 +104,17 @@ pub fn chain_degree_discounted(chain: &MultipartiteChain, opts: &ChainOptions) -
         degs.iter().map(|&d| exp.factor(d)).collect()
     };
 
+    // The meta-path products run serially, the final similarity product on
+    // every core.
+    let serial = Exec {
+        threads: 1,
+        ..Exec::default()
+    };
+    let all_cores = Exec {
+        threads: 0,
+        ..serial.clone()
+    };
+
     // X starts as D₀⁻ᵅ · B₀.
     let mut x = links[0].clone();
     let own_deg = links[0].row_sums();
@@ -118,7 +129,8 @@ pub fn chain_degree_discounted(chain: &MultipartiteChain, opts: &ChainOptions) -
         }
         ops::scale_cols(&mut x, &factor(opts.via_discount, &via_deg))
             .map_err(SymmetrizeError::Sparse)?;
-        x = symclust_sparse::spgemm(&x, link).map_err(SymmetrizeError::Sparse)?;
+        x = spgemm(&x, link, &SpgemmOptions::default(), &serial)
+            .map_err(SymmetrizeError::Sparse)?;
     }
 
     // Terminal layer: split the discount across the two sides of X·Xᵀ.
@@ -130,17 +142,15 @@ pub fn chain_degree_discounted(chain: &MultipartiteChain, opts: &ChainOptions) -
     ops::scale_cols(&mut x, &sqrt_factor).map_err(SymmetrizeError::Sparse)?;
 
     let xt = ops::transpose(&x);
-    let s = spgemm_syrk_observed(
+    let s = spgemm_syrk(
         &x,
         &xt,
         &SpgemmOptions {
             threshold: opts.threshold,
             drop_diagonal: true,
-            n_threads: 0,
             ..Default::default()
         },
-        None,
-        None,
+        &all_cores,
     )
     .map_err(SymmetrizeError::Sparse)?;
     Ok(UnGraph::from_symmetric_unchecked(s))

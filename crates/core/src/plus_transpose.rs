@@ -9,7 +9,7 @@
 use crate::{Result, SymmetrizedGraph, Symmetrizer};
 use std::time::Instant;
 use symclust_graph::{DiGraph, UnGraph};
-use symclust_sparse::ops;
+use symclust_sparse::{ops, Exec};
 
 /// `U = A + Aᵀ`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -20,7 +20,8 @@ impl Symmetrizer for PlusTranspose {
         "A+A'".to_string()
     }
 
-    fn symmetrize(&self, g: &DiGraph) -> Result<SymmetrizedGraph> {
+    fn symmetrize(&self, g: &DiGraph, exec: &Exec) -> Result<SymmetrizedGraph> {
+        exec.checkpoint()?;
         let start = Instant::now();
         let u = ops::plus_transpose(g.adjacency())?;
         let mut un = UnGraph::from_symmetric_unchecked(u);
@@ -39,7 +40,7 @@ mod tests {
     #[test]
     fn sums_reciprocal_edge_weights() {
         let g = DiGraph::from_weighted_edges(2, &[(0, 1, 2.0), (1, 0, 3.0)]).unwrap();
-        let s = PlusTranspose.symmetrize(&g).unwrap();
+        let s = PlusTranspose.symmetrize(&g, &Exec::default()).unwrap();
         assert_eq!(s.adjacency().get(0, 1), 5.0);
         assert_eq!(s.adjacency().get(1, 0), 5.0);
     }
@@ -47,7 +48,7 @@ mod tests {
     #[test]
     fn preserves_edge_set_structure() {
         let g = figure1_graph();
-        let s = PlusTranspose.symmetrize(&g).unwrap();
+        let s = PlusTranspose.symmetrize(&g, &Exec::default()).unwrap();
         // Every original edge survives, undirected.
         for (u, v, _) in g.edges() {
             assert!(s.adjacency().get(u, v as usize) > 0.0);
@@ -59,7 +60,7 @@ mod tests {
     #[test]
     fn output_is_symmetric() {
         let g = figure1_graph();
-        let s = PlusTranspose.symmetrize(&g).unwrap();
+        let s = PlusTranspose.symmetrize(&g, &Exec::default()).unwrap();
         assert!(s.adjacency().is_symmetric(0.0));
     }
 
@@ -69,7 +70,7 @@ mod tests {
             .unwrap()
             .with_labels(vec!["a".into(), "b".into()])
             .unwrap();
-        let s = PlusTranspose.symmetrize(&g).unwrap();
+        let s = PlusTranspose.symmetrize(&g, &Exec::default()).unwrap();
         assert_eq!(s.graph().label(1), "b");
     }
 

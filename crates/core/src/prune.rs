@@ -80,6 +80,7 @@ mod tests {
     use super::*;
     use crate::{DegreeDiscounted, Symmetrizer};
     use symclust_graph::generators::{shared_link_dsbm, SharedLinkDsbmConfig};
+    use symclust_sparse::Exec;
 
     fn test_graph() -> DiGraph {
         shared_link_dsbm(&SharedLinkDsbmConfig {
@@ -106,7 +107,7 @@ mod tests {
                 ..opts
             },
         };
-        let s = dd.symmetrize(&g).unwrap();
+        let s = dd.symmetrize(&g, &Exec::default()).unwrap();
         let avg_degree = 2.0 * s.n_edges() as f64 / s.n_nodes() as f64;
         assert!(
             (avg_degree - target).abs() < target * 0.5,

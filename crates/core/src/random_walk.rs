@@ -14,7 +14,7 @@
 use crate::{Result, SymmetrizedGraph, Symmetrizer};
 use std::time::Instant;
 use symclust_graph::{DiGraph, UnGraph};
-use symclust_sparse::{ops, pagerank, PageRankOptions};
+use symclust_sparse::{ops, pagerank, Exec, PageRankOptions};
 
 /// Options for [`RandomWalk`].
 #[derive(Debug, Clone, Copy)]
@@ -62,7 +62,8 @@ impl Symmetrizer for RandomWalk {
         "Random Walk".to_string()
     }
 
-    fn symmetrize(&self, g: &DiGraph) -> Result<SymmetrizedGraph> {
+    fn symmetrize(&self, g: &DiGraph, exec: &Exec) -> Result<SymmetrizedGraph> {
+        exec.checkpoint()?;
         let start = Instant::now();
         let a = g.adjacency();
         let pr = pagerank(
@@ -72,6 +73,7 @@ impl Symmetrizer for RandomWalk {
                 tol: self.options.tol,
                 max_iter: self.options.max_iter,
             },
+            exec,
         )?;
         // M = Π P; then U = (M + Mᵀ)/2.
         let mut m = ops::row_normalize(a);
@@ -94,15 +96,21 @@ mod tests {
     #[test]
     fn output_is_symmetric() {
         let g = figure1_graph();
-        let s = RandomWalk::default().symmetrize(&g).unwrap();
+        let s = RandomWalk::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         assert!(s.adjacency().is_symmetric(1e-12));
     }
 
     #[test]
     fn same_edge_set_as_plus_transpose() {
         let g = figure1_graph();
-        let rw = RandomWalk::default().symmetrize(&g).unwrap();
-        let pt = crate::PlusTranspose.symmetrize(&g).unwrap();
+        let rw = RandomWalk::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
+        let pt = crate::PlusTranspose
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         assert_eq!(rw.adjacency().indptr(), pt.adjacency().indptr());
         assert_eq!(rw.adjacency().indices(), pt.adjacency().indices());
         // Figure-1 failure mode persists.
@@ -115,7 +123,9 @@ mod tests {
         // undirected edge weight is (1/n · 1 + 0)/2 = 1/(2n).
         let n = 6;
         let g = cycle_graph(n);
-        let s = RandomWalk::default().symmetrize(&g).unwrap();
+        let s = RandomWalk::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         for i in 0..n {
             let w = s.adjacency().get(i, (i + 1) % n);
             assert!((w - 1.0 / (2.0 * n as f64)).abs() < 1e-6, "edge weight {w}");
@@ -127,7 +137,9 @@ mod tests {
         // Σ U(i,j) over all i,j equals Σ π(i) P(i,j) = Σ π(i) over
         // non-dangling nodes; with no dangling nodes that's 1.
         let g = cycle_graph(5);
-        let s = RandomWalk::default().symmetrize(&g).unwrap();
+        let s = RandomWalk::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         let total: f64 = s.adjacency().values().iter().sum();
         assert!((total - 1.0).abs() < 1e-8);
     }
@@ -135,8 +147,12 @@ mod tests {
     #[test]
     fn teleport_is_configurable() {
         let g = figure1_graph();
-        let a = RandomWalk::with_teleport(0.05).symmetrize(&g).unwrap();
-        let b = RandomWalk::with_teleport(0.5).symmetrize(&g).unwrap();
+        let a = RandomWalk::with_teleport(0.05)
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
+        let b = RandomWalk::with_teleport(0.5)
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         // Different teleport → different stationary distribution → weights.
         let da: f64 = a.adjacency().values().iter().sum();
         let db: f64 = b.adjacency().values().iter().sum();
@@ -146,7 +162,9 @@ mod tests {
     #[test]
     fn handles_dangling_nodes() {
         let g = DiGraph::from_edges(3, &[(0, 2), (1, 2)]).unwrap();
-        let s = RandomWalk::default().symmetrize(&g).unwrap();
+        let s = RandomWalk::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         assert!(s.adjacency().is_symmetric(1e-12));
         assert!(s.adjacency().get(0, 2) > 0.0);
     }

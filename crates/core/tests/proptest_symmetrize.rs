@@ -6,6 +6,7 @@ use symclust_core::{
     PlusTranspose, RandomWalk, Symmetrizer,
 };
 use symclust_graph::DiGraph;
+use symclust_sparse::Exec;
 
 /// Strategy: a random directed graph.
 fn digraph(max_n: usize, max_edges: usize) -> impl Strategy<Value = DiGraph> {
@@ -18,7 +19,7 @@ fn digraph(max_n: usize, max_edges: usize) -> impl Strategy<Value = DiGraph> {
 proptest! {
     #[test]
     fn plus_transpose_output_symmetric(g in digraph(30, 150)) {
-        let s = PlusTranspose.symmetrize(&g).unwrap();
+        let s = PlusTranspose.symmetrize(&g, &Exec::default()).unwrap();
         prop_assert!(s.adjacency().is_symmetric(1e-12));
         // Every original edge survives.
         for (u, v, _) in g.edges() {
@@ -28,9 +29,9 @@ proptest! {
 
     #[test]
     fn random_walk_output_symmetric_with_same_structure(g in digraph(25, 120)) {
-        let rw = RandomWalk::default().symmetrize(&g).unwrap();
+        let rw = RandomWalk::default().symmetrize(&g, &Exec::default()).unwrap();
         prop_assert!(rw.adjacency().is_symmetric(1e-10));
-        let pt = PlusTranspose.symmetrize(&g).unwrap();
+        let pt = PlusTranspose.symmetrize(&g, &Exec::default()).unwrap();
         // §3.2: identical edge set to A + Aᵀ (weights differ). Exact
         // cancellation aside, structures match.
         prop_assert_eq!(rw.adjacency().indices(), pt.adjacency().indices());
@@ -41,7 +42,7 @@ proptest! {
 
     #[test]
     fn bibliometric_output_symmetric_nonnegative(g in digraph(25, 120)) {
-        let s = Bibliometric::default().symmetrize(&g).unwrap();
+        let s = Bibliometric::default().symmetrize(&g, &Exec::default()).unwrap();
         prop_assert!(s.adjacency().is_symmetric(1e-9));
         for &v in s.adjacency().values() {
             prop_assert!(v > 0.0);
@@ -54,7 +55,7 @@ proptest! {
 
     #[test]
     fn degree_discounted_output_symmetric_nonnegative(g in digraph(25, 120)) {
-        let s = DegreeDiscounted::default().symmetrize(&g).unwrap();
+        let s = DegreeDiscounted::default().symmetrize(&g, &Exec::default()).unwrap();
         prop_assert!(s.adjacency().is_symmetric(1e-9));
         for &v in s.adjacency().values() {
             prop_assert!(v > 0.0);
@@ -63,11 +64,11 @@ proptest! {
 
     #[test]
     fn dd_with_zero_exponents_equals_undiscounted_bibliometric(g in digraph(20, 100)) {
-        let dd = DegreeDiscounted::with_exponents(0.0, 0.0).symmetrize(&g).unwrap();
+        let dd = DegreeDiscounted::with_exponents(0.0, 0.0).symmetrize(&g, &Exec::default()).unwrap();
         let bib = Bibliometric {
             options: BibliometricOptions { add_identity: false, ..Default::default() },
         }
-        .symmetrize(&g)
+        .symmetrize(&g, &Exec::default())
         .unwrap();
         prop_assert_eq!(dd.adjacency(), bib.adjacency());
     }
@@ -76,8 +77,8 @@ proptest! {
     fn dd_weights_bounded_by_undiscounted(g in digraph(20, 100)) {
         // Degrees ≥ 1 wherever A has entries, so every discount factor is
         // ≤ 1 and each DD weight is bounded by the Bibliometric count.
-        let dd = DegreeDiscounted::default().symmetrize(&g).unwrap();
-        let bib = DegreeDiscounted::with_exponents(0.0, 0.0).symmetrize(&g).unwrap();
+        let dd = DegreeDiscounted::default().symmetrize(&g, &Exec::default()).unwrap();
+        let bib = DegreeDiscounted::with_exponents(0.0, 0.0).symmetrize(&g, &Exec::default()).unwrap();
         for (r, c, v) in dd.adjacency().iter() {
             prop_assert!(v <= bib.adjacency().get(r, c as usize) + 1e-9);
         }
@@ -85,8 +86,8 @@ proptest! {
 
     #[test]
     fn threshold_monotonically_prunes(g in digraph(20, 100), t in 0.0f64..0.5) {
-        let full = DegreeDiscounted::default().symmetrize(&g).unwrap();
-        let pruned = DegreeDiscounted::with_threshold(t).symmetrize(&g).unwrap();
+        let full = DegreeDiscounted::default().symmetrize(&g, &Exec::default()).unwrap();
+        let pruned = DegreeDiscounted::with_threshold(t).symmetrize(&g, &Exec::default()).unwrap();
         prop_assert!(pruned.n_edges() <= full.n_edges());
         for &v in pruned.adjacency().values() {
             prop_assert!(v >= t);
@@ -95,8 +96,8 @@ proptest! {
 
     #[test]
     fn stronger_discount_never_increases_weights(g in digraph(20, 100)) {
-        let half = DegreeDiscounted::with_exponents(0.5, 0.5).symmetrize(&g).unwrap();
-        let full = DegreeDiscounted::with_exponents(1.0, 1.0).symmetrize(&g).unwrap();
+        let half = DegreeDiscounted::with_exponents(0.5, 0.5).symmetrize(&g, &Exec::default()).unwrap();
+        let full = DegreeDiscounted::with_exponents(1.0, 1.0).symmetrize(&g, &Exec::default()).unwrap();
         for (r, c, v) in full.adjacency().iter() {
             prop_assert!(v <= half.adjacency().get(r, c as usize) + 1e-9);
         }
@@ -121,7 +122,7 @@ proptest! {
             Box::new(DegreeDiscounted::default()),
         ];
         for m in methods {
-            let s = m.symmetrize(&g).unwrap();
+            let s = m.symmetrize(&g, &Exec::default()).unwrap();
             prop_assert_eq!(s.graph().labels().unwrap(), &labels[..]);
         }
     }

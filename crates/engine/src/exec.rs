@@ -52,7 +52,7 @@ use symclust_core::{SymmetrizeError, SymmetrizedGraph};
 use symclust_eval::avg_f_score;
 use symclust_graph::{DiGraph, GroundTruth, UnGraph};
 use symclust_obs::{MetricsRegistry, MetricsSnapshot};
-use symclust_sparse::{ops, CancelToken};
+use symclust_sparse::{ops, CancelToken, Exec};
 
 /// Stable metric names the executor records (DESIGN.md §11). Kernel-level
 /// names (`spgemm.*`, `mcl.*`) live next to their kernels; these cover the
@@ -163,24 +163,22 @@ pub struct EngineOptions {
     /// aborting; the resulting records carry `degraded: true`.
     pub memory_budget: Option<usize>,
     /// SpGEMM worker threads for the similarity symmetrizations (`0` =
-    /// all cores, `1` = serial). `None` keeps the symmetrizer defaults,
-    /// which honor `SYMCLUST_THREADS`. The kernels assemble output
+    /// all cores, `1` = serial). `None` keeps [`Exec::default`], which
+    /// honors `SYMCLUST_THREADS`. The kernels assemble output
     /// deterministically, so this knob never changes results — it is
     /// excluded from cache keys on purpose.
     pub spgemm_threads: Option<usize>,
-    /// SpGEMM accumulator strategy for the similarity symmetrizations
-    /// (adaptive / dense / sparse). `None` keeps the symmetrizer
-    /// defaults, which honor `SYMCLUST_ACCUM`. Every strategy produces
-    /// bit-identical output, so — like `spgemm_threads` — this knob is
-    /// excluded from cache keys on purpose.
+    /// SpGEMM accumulator strategy (adaptive / dense / sparse). `None`
+    /// keeps [`Exec::default`], which honors `SYMCLUST_ACCUM`. Every
+    /// strategy produces bit-identical output, so — like `spgemm_threads`
+    /// — this knob is excluded from cache keys on purpose.
     pub spgemm_accum: Option<symclust_sparse::AccumStrategy>,
-    /// Out-of-core panel plan for the similarity symmetrizations. When
-    /// engaged the SpGEMM runs tile by tile and may spill partial products
-    /// to scratch files, bounding peak memory. `None` keeps the
-    /// symmetrizer defaults, which honor `SYMCLUST_PANEL_ROWS` /
-    /// `SYMCLUST_MEMORY_BUDGET`. The panel path is bit-identical to the
-    /// in-memory one, so — like the other SpGEMM knobs — it is excluded
-    /// from cache keys on purpose.
+    /// Out-of-core panel plan. When engaged the SpGEMM runs tile by tile
+    /// and may spill partial products to scratch files, bounding peak
+    /// memory. `None` keeps [`Exec::default`], which honors
+    /// `SYMCLUST_PANEL_ROWS` / `SYMCLUST_MEMORY_BUDGET`. The panel path is
+    /// bit-identical to the in-memory one, so — like the other SpGEMM
+    /// knobs — it is excluded from cache keys on purpose.
     pub spgemm_panel: Option<symclust_sparse::PanelPlan>,
     /// Path of the durable run journal. When set, chains recorded there
     /// are resumed instead of re-executed, and every chain completed by
@@ -205,6 +203,18 @@ pub struct EngineOptions {
 }
 
 impl EngineOptions {
+    /// The kernel execution template: [`Exec::default`] with the SpGEMM
+    /// overrides applied. Stages add their token and the sweep registry.
+    fn kernel_exec(&self) -> Exec {
+        let base = Exec::default();
+        Exec {
+            threads: self.spgemm_threads.unwrap_or(base.threads),
+            accum: self.spgemm_accum.unwrap_or(base.accum),
+            panel: self.spgemm_panel.clone().unwrap_or(base.panel),
+            ..base
+        }
+    }
+
     fn effective_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
@@ -274,14 +284,23 @@ struct ExecCtx<'a> {
     sink: &'a (dyn Fn(Event) + Send + Sync),
     retry: RetryPolicy,
     memory_budget: Option<usize>,
-    spgemm_threads: Option<usize>,
-    spgemm_accum: Option<symclust_sparse::AccumStrategy>,
-    spgemm_panel: Option<symclust_sparse::PanelPlan>,
+    /// Threads, accumulator and panel plan every kernel call runs under.
+    kernel_exec: Exec,
     metrics: &'a MetricsRegistry,
     paranoid: bool,
 }
 
 impl ExecCtx<'_> {
+    /// The [`Exec`] one stage attempt runs its kernels under: the
+    /// template plus the stage's token and the sweep's registry.
+    fn stage_exec(&self, token: &CancelToken) -> Exec {
+        Exec {
+            token: Some(token.clone()),
+            metrics: Some(self.metrics.clone()),
+            ..self.kernel_exec.clone()
+        }
+    }
+
     /// Whether stage outputs get the full structural validation pass:
     /// always in debug builds, on request (`--paranoid`) in release.
     fn validate_outputs(&self) -> bool {
@@ -387,9 +406,7 @@ impl Engine {
             sink,
             retry: self.opts.retry.clone(),
             memory_budget: self.opts.memory_budget,
-            spgemm_threads: self.opts.spgemm_threads,
-            spgemm_accum: self.opts.spgemm_accum,
-            spgemm_panel: self.opts.spgemm_panel.clone(),
+            kernel_exec: self.opts.kernel_exec(),
             metrics: &registry,
             paranoid: self.opts.paranoid,
         };
@@ -874,15 +891,9 @@ fn run_stage_attempt(node: &StageNode, ctx: &ExecCtx<'_>, token: &CancelToken) -
             // injected panic also exercises the cache's in-flight guard.
             match ctx.cache.get_or_compute(key, || {
                 fire_fault(&fault).map_err(SymmetrizeError::InvalidConfig)?;
-                let sym = method.symmetrize_observed_configured(
-                    &ctx.input.graph,
-                    token,
-                    budget,
-                    ctx.spgemm_threads,
-                    ctx.spgemm_accum,
-                    ctx.spgemm_panel.clone(),
-                    Some(ctx.metrics),
-                )?;
+                let sym = method
+                    .build(budget)
+                    .symmetrize(&ctx.input.graph, &ctx.stage_exec(token))?;
                 // Structural + exact-symmetry validation at the kernel
                 // boundary (DESIGN.md §13). Exact symmetry is the contract
                 // here: the SYRK mirror pass and the commutative additive
@@ -992,7 +1003,10 @@ fn run_stage_attempt(node: &StageNode, ctx: &ExecCtx<'_>, token: &CancelToken) -
                 return failed(e);
             }
             let clusterer = node.clusterer.expect("cluster node has a clusterer");
-            match clusterer.cluster_observed(sym.graph(), token, Some(ctx.metrics)) {
+            match clusterer
+                .build()
+                .cluster_ungraph(sym.graph(), &ctx.stage_exec(token))
+            {
                 Ok(clustering) => {
                     let secs = start.elapsed().as_secs_f64();
                     (ctx.sink)(finished(clustering.n_clusters()));

@@ -7,6 +7,7 @@ use std::time::Instant;
 use symclust_core::SymmetrizedGraph;
 use symclust_eval::avg_f_score;
 use symclust_graph::GroundTruth;
+use symclust_sparse::Exec;
 
 /// One measured clustering run; serialized as JSON lines for downstream
 /// plotting and recorded in EXPERIMENTS.md.
@@ -69,22 +70,24 @@ impl RunRecord {
     }
 }
 
-/// Runs `clusterer` on `sym` serially and packages the measurement. This
-/// is the reference path the engine's parallel executor is checked
-/// against; it is also used directly by one-off experiments that don't
-/// need a sweep.
+/// Runs `clusterer` on `sym` serially under [`Exec::default`] and packages
+/// the measurement. This is the reference path the engine's parallel
+/// executor is checked against; it is also used directly by one-off
+/// experiments that don't need a sweep.
 pub fn measure(
     dataset: &str,
     sym_method: &SymMethod,
     sym: &SymmetrizedGraph,
     clusterer: Clusterer,
     truth: Option<&GroundTruth>,
-) -> RunRecord {
+) -> symclust_cluster::Result<RunRecord> {
     let start = Instant::now();
-    let clustering = clusterer.run(sym);
+    let clustering = clusterer
+        .build()
+        .cluster_ungraph(sym.graph(), &Exec::default())?;
     let cluster_secs = start.elapsed().as_secs_f64();
     let f_score = truth.map(|t| avg_f_score(clustering.assignments(), t).avg_f);
-    RunRecord {
+    Ok(RunRecord {
         dataset: dataset.to_string(),
         symmetrization: sym_method.name(),
         algorithm: clusterer.name().to_string(),
@@ -95,7 +98,7 @@ pub fn measure(
         sym_edges: sym.n_edges(),
         degraded: sym.degraded(),
         converged: clustering.converged(),
-    }
+    })
 }
 
 /// Prints records as an aligned table with the given title.

@@ -8,13 +8,13 @@
 //! construction paths and the cache-key encoding live next to each other
 //! so they cannot drift apart.
 
-use symclust_cluster::{ClusterAlgorithm, Clustering, GraclusLike, MetisLike, MlrMcl};
+use symclust_cluster::{ClusterAlgorithm, GraclusLike, MetisLike, MlrMcl};
 use symclust_core::{
     Bibliometric, BibliometricOptions, DegreeDiscounted, DegreeDiscountedOptions, DiscountExponent,
     PlusTranspose, RandomWalk, SymmetrizedGraph, Symmetrizer,
 };
-use symclust_graph::{DiGraph, UnGraph};
-use symclust_sparse::CancelToken;
+use symclust_graph::DiGraph;
+use symclust_sparse::Exec;
 
 /// The four symmetrization methods compared throughout the paper, with the
 /// thresholds that make the similarity methods tractable.
@@ -67,83 +67,38 @@ impl SymMethod {
         }
     }
 
-    /// Builds the configured symmetrizer.
-    pub fn build(&self) -> Box<dyn Symmetrizer + Send + Sync> {
-        self.build_with_budget(None)
-    }
-
     /// Builds the configured symmetrizer under an optional SpGEMM output
     /// budget (in stored entries). The budget only affects the similarity
     /// methods ([`uses_budget`](Self::uses_budget)); when their estimated
     /// product size exceeds it they degrade to an adaptively-thresholded
-    /// product instead of aborting.
-    pub fn build_with_budget(
-        &self,
-        nnz_budget: Option<usize>,
-    ) -> Box<dyn Symmetrizer + Send + Sync> {
-        self.build_configured(nnz_budget, None, None, None)
-    }
-
-    /// Builds the configured symmetrizer under an optional SpGEMM output
-    /// budget, an optional thread-count override and an optional
-    /// accumulator-strategy override for the similarity kernels. `None`
-    /// keeps the option defaults (which honor `SYMCLUST_THREADS` /
-    /// `SYMCLUST_ACCUM`). Neither knob changes the output — the parallel
-    /// kernels assemble blocks deterministically and the accumulator
-    /// strategies are bit-identical — so both are deliberately *not* part
-    /// of [`cache_params`](Self::cache_params). The same holds for
-    /// `spgemm_panel`: the out-of-core panel path is bit-identical to the
-    /// in-memory one, so the plan never enters the artifact address.
-    pub fn build_configured(
-        &self,
-        nnz_budget: Option<usize>,
-        spgemm_threads: Option<usize>,
-        spgemm_accum: Option<symclust_sparse::AccumStrategy>,
-        spgemm_panel: Option<symclust_sparse::PanelPlan>,
-    ) -> Box<dyn Symmetrizer + Send + Sync> {
+    /// product instead of aborting, so the budget is part of
+    /// [`cache_params_with_budget`](Self::cache_params_with_budget). How
+    /// the product runs — threads, accumulator, panel plan — is the
+    /// [`Exec`] passed to `symmetrize`, and never reaches a cache key.
+    pub fn build(&self, nnz_budget: Option<usize>) -> Box<dyn Symmetrizer + Send + Sync> {
         match *self {
             SymMethod::PlusTranspose => Box::new(PlusTranspose),
             SymMethod::RandomWalk => Box::new(RandomWalk::default()),
-            SymMethod::Bibliometric { threshold } => {
-                let mut options = BibliometricOptions {
+            SymMethod::Bibliometric { threshold } => Box::new(Bibliometric {
+                options: BibliometricOptions {
                     threshold,
                     nnz_budget,
                     ..Default::default()
-                };
-                if let Some(t) = spgemm_threads {
-                    options.n_threads = t;
-                }
-                if let Some(a) = spgemm_accum {
-                    options.accum = a;
-                }
-                if let Some(p) = spgemm_panel {
-                    options.panel = p;
-                }
-                Box::new(Bibliometric { options })
-            }
+                },
+            }),
             SymMethod::DegreeDiscounted {
                 alpha,
                 beta,
                 threshold,
-            } => {
-                let mut options = DegreeDiscountedOptions {
+            } => Box::new(DegreeDiscounted {
+                options: DegreeDiscountedOptions {
                     alpha: DiscountExponent::Power(alpha),
                     beta: DiscountExponent::Power(beta),
                     threshold,
                     nnz_budget,
                     ..Default::default()
-                };
-                if let Some(t) = spgemm_threads {
-                    options.n_threads = t;
-                }
-                if let Some(a) = spgemm_accum {
-                    options.accum = a;
-                }
-                if let Some(p) = spgemm_panel {
-                    options.panel = p;
-                }
-                Box::new(DegreeDiscounted { options })
-            }
+                },
+            }),
         }
     }
 
@@ -156,68 +111,13 @@ impl SymMethod {
         )
     }
 
-    /// Runs the symmetrization (panics on error — valid for the in-memory
-    /// graphs the harnesses use; the engine path uses
-    /// [`symmetrize_cancellable`](Self::symmetrize_cancellable) instead).
+    /// Runs the symmetrization under [`Exec::default`] (panics on error —
+    /// valid for the in-memory graphs the harnesses use; the engine path
+    /// builds the symmetrizer and runs it under its own [`Exec`]).
     pub fn symmetrize(&self, g: &DiGraph) -> SymmetrizedGraph {
-        self.build()
-            .symmetrize(g)
+        self.build(None)
+            .symmetrize(g, &Exec::default())
             .expect("symmetrization cannot fail on a valid graph")
-    }
-
-    /// Runs the symmetrization with cooperative cancellation.
-    pub fn symmetrize_cancellable(
-        &self,
-        g: &DiGraph,
-        token: &CancelToken,
-    ) -> symclust_core::Result<SymmetrizedGraph> {
-        self.build().symmetrize_cancellable(g, token)
-    }
-
-    /// [`symmetrize_cancellable`](Self::symmetrize_cancellable) under an
-    /// optional SpGEMM output budget.
-    pub fn symmetrize_cancellable_with_budget(
-        &self,
-        g: &DiGraph,
-        token: &CancelToken,
-        nnz_budget: Option<usize>,
-    ) -> symclust_core::Result<SymmetrizedGraph> {
-        self.build_with_budget(nnz_budget)
-            .symmetrize_cancellable(g, token)
-    }
-
-    /// [`symmetrize_cancellable_with_budget`](Self::symmetrize_cancellable_with_budget)
-    /// that also records kernel counters (SpGEMM work, degraded fallbacks —
-    /// DESIGN.md §11) into `metrics`.
-    pub fn symmetrize_observed_with_budget(
-        &self,
-        g: &DiGraph,
-        token: &CancelToken,
-        nnz_budget: Option<usize>,
-        metrics: Option<&symclust_obs::MetricsRegistry>,
-    ) -> symclust_core::Result<SymmetrizedGraph> {
-        self.symmetrize_observed_configured(g, token, nnz_budget, None, None, None, metrics)
-    }
-
-    /// [`symmetrize_observed_with_budget`](Self::symmetrize_observed_with_budget)
-    /// with explicit SpGEMM thread-count, accumulator-strategy and
-    /// out-of-core panel-plan overrides (the engine threads the pipeline's
-    /// `--sym-threads` / `--sym-accum` / `--sym-panel-rows` knobs through
-    /// here). None of these affect the output, only wall time and peak
-    /// memory.
-    #[allow(clippy::too_many_arguments)]
-    pub fn symmetrize_observed_configured(
-        &self,
-        g: &DiGraph,
-        token: &CancelToken,
-        nnz_budget: Option<usize>,
-        spgemm_threads: Option<usize>,
-        spgemm_accum: Option<symclust_sparse::AccumStrategy>,
-        spgemm_panel: Option<symclust_sparse::PanelPlan>,
-        metrics: Option<&symclust_obs::MetricsRegistry>,
-    ) -> symclust_core::Result<SymmetrizedGraph> {
-        self.build_configured(nnz_budget, spgemm_threads, spgemm_accum, spgemm_panel)
-            .symmetrize_observed(g, token, metrics)
     }
 
     /// Stable (stage name, parameter vector) encoding for content-addressed
@@ -327,35 +227,6 @@ impl Clusterer {
         }
     }
 
-    /// Runs the clusterer on a symmetrized graph (panics on error; the
-    /// engine path uses [`cluster_cancellable`](Self::cluster_cancellable)).
-    pub fn run(&self, sym: &SymmetrizedGraph) -> Clustering {
-        self.build()
-            .cluster_ungraph(sym.graph())
-            .expect("clustering succeeds")
-    }
-
-    /// Runs the clusterer with cooperative cancellation.
-    pub fn cluster_cancellable(
-        &self,
-        g: &UnGraph,
-        token: &CancelToken,
-    ) -> symclust_cluster::Result<Clustering> {
-        self.build().cluster_ungraph_cancellable(g, token)
-    }
-
-    /// [`cluster_cancellable`](Self::cluster_cancellable) that also records
-    /// algorithm counters (R-MCL iterations, convergence — DESIGN.md §11)
-    /// into `metrics`.
-    pub fn cluster_observed(
-        &self,
-        g: &UnGraph,
-        token: &CancelToken,
-        metrics: Option<&symclust_obs::MetricsRegistry>,
-    ) -> symclust_cluster::Result<Clustering> {
-        self.build().cluster_observed(g, token, metrics)
-    }
-
     /// Stable (stage name, parameter vector) encoding, mirroring
     /// [`SymMethod::cache_params`]. Used to compose the per-chain journal
     /// keys for crash-safe resume.
@@ -391,7 +262,9 @@ mod tests {
             threshold: 0.0,
         }
         .symmetrize(&g);
-        let direct = DegreeDiscounted::default().symmetrize(&g).unwrap();
+        let direct = DegreeDiscounted::default()
+            .symmetrize(&g, &Exec::default())
+            .unwrap();
         assert_eq!(via_factory.adjacency(), direct.adjacency());
     }
 
@@ -447,17 +320,48 @@ mod tests {
 
     #[test]
     fn cancelled_token_propagates_through_factory() {
+        use symclust_obs::MetricsRegistry;
+        use symclust_sparse::CancelToken;
+        // A cancelled `Exec` carrying its own registry: every factory
+        // pairing must fail as cancelled before any kernel does work.
+        let cancelled = || {
+            let token = CancelToken::new();
+            token.cancel();
+            let metrics = MetricsRegistry::new();
+            let exec = Exec {
+                token: Some(token),
+                metrics: Some(metrics.clone()),
+                ..Exec::default()
+            };
+            (exec, metrics)
+        };
+        let assert_no_work = |metrics: &MetricsRegistry, what: &str| {
+            let snap = metrics.snapshot();
+            assert_eq!(snap.counter("spgemm.flops"), None, "{what} ran SpGEMM");
+            assert_eq!(snap.counter("mcl.iterations"), None, "{what} ran R-MCL");
+        };
         let g = figure1_graph();
-        let token = CancelToken::new();
-        token.cancel();
-        let err = SymMethod::PlusTranspose
-            .symmetrize_cancellable(&g, &token)
-            .unwrap_err();
-        assert!(err.is_cancelled());
+        for method in SymMethod::lineup(0.0, 0.0) {
+            for budget in [None, Some(1_000_000)] {
+                let (exec, metrics) = cancelled();
+                let err = method.build(budget).symmetrize(&g, &exec).unwrap_err();
+                assert!(err.is_cancelled(), "{}: {err}", method.name());
+                assert_no_work(&metrics, &method.name());
+            }
+        }
         let sym = SymMethod::PlusTranspose.symmetrize(&g);
-        let err = Clusterer::MlrMcl { inflation: 2.0 }
-            .cluster_cancellable(sym.graph(), &token)
-            .unwrap_err();
-        assert!(err.is_cancelled());
+        for clusterer in [
+            Clusterer::MlrMcl { inflation: 2.0 },
+            Clusterer::Metis { k: 2 },
+            Clusterer::Graclus { k: 2 },
+        ] {
+            let (exec, metrics) = cancelled();
+            let err = clusterer
+                .build()
+                .cluster_ungraph(sym.graph(), &exec)
+                .unwrap_err();
+            assert!(err.is_cancelled(), "{}: {err}", clusterer.label());
+            assert_no_work(&metrics, &clusterer.label());
+        }
     }
 }

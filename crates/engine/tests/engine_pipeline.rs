@@ -87,7 +87,8 @@ fn four_by_two_sweep_computes_each_symmetrization_once_and_matches_serial() {
     for method in &spec.methods {
         let sym = method.symmetrize(&input.graph);
         for &clusterer in &spec.clusterers {
-            let serial = measure(&input.name, method, &sym, clusterer, truth);
+            let serial =
+                measure(&input.name, method, &sym, clusterer, truth).expect("clustering succeeds");
             let parallel = result
                 .records
                 .iter()

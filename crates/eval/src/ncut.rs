@@ -1,7 +1,7 @@
 //! Normalized cuts of clusterings, undirected (Eq. 1) and directed (Eq. 3).
 
 use symclust_graph::{DiGraph, UnGraph};
-use symclust_sparse::{pagerank, PageRankOptions};
+use symclust_sparse::{pagerank, Exec, PageRankOptions};
 
 /// Undirected normalized cut of a clustering: `Σ_c cut(c) / vol(c)`
 /// (Eq. 1 of the paper summed over clusters; `vol` is the weighted-degree
@@ -52,6 +52,7 @@ pub fn directed_normalized_cut(g: &DiGraph, assignments: &[u32], teleport: f64) 
             teleport,
             ..Default::default()
         },
+        &Exec::default(),
     )
     .expect("pagerank converges on any graph with teleport > 0")
     .pi;

@@ -76,15 +76,6 @@ impl std::str::FromStr for AccumStrategy {
     }
 }
 
-/// Parses the `SYMCLUST_ACCUM` environment variable: the default
-/// accumulator strategy used by [`crate::SpgemmOptions::default`]. Unset
-/// or unparsable means "no preference" (adaptive). Like `SYMCLUST_THREADS`
-/// this knob never changes output bytes — only which code path produces
-/// them — so it must never reach cache keys.
-pub fn accum_from_env() -> Option<AccumStrategy> {
-    std::env::var("SYMCLUST_ACCUM").ok()?.parse().ok()
-}
-
 /// Default crossover (in estimated multiply-adds per row) between sparse
 /// and dense accumulation under [`AccumStrategy::Adaptive`]. Sparse
 /// accumulation pays O(e·log e) for the sort plus a pair buffer; the dense

@@ -10,10 +10,10 @@
 //! The projected tridiagonal problem is solved by the classic implicit-QL
 //! algorithm with Wilkinson shifts (EISPACK `tql2`), implemented here.
 
-use crate::cancel::CancelToken;
 use crate::csr::CsrMatrix;
 use crate::dense;
 use crate::error::SparseError;
+use crate::exec::Exec;
 use crate::Result;
 
 /// Options for the Lanczos iteration.
@@ -161,28 +161,16 @@ pub fn tridiagonal_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Vec<Vec<f64>
 }
 
 /// Computes the `k` smallest eigenpairs of the symmetric matrix `a`.
-pub fn lanczos_smallest(a: &CsrMatrix, k: usize, opts: &LanczosOptions) -> Result<LanczosResult> {
-    lanczos_smallest_with(a, k, opts, None)
-}
-
-/// [`lanczos_smallest`] that polls `token` once per Lanczos step (one
-/// matrix–vector product plus reorthogonalization) and bails out with
+///
+/// Polls `exec`'s token once per Lanczos step (one matrix–vector product
+/// plus reorthogonalization) and bails out with
 /// [`SparseError::Cancelled`] when it trips. The Krylov basis is local to
 /// the call, so cancellation leaves no poisoned state behind.
-pub fn lanczos_smallest_cancellable(
+pub fn lanczos_smallest(
     a: &CsrMatrix,
     k: usize,
     opts: &LanczosOptions,
-    token: &CancelToken,
-) -> Result<LanczosResult> {
-    lanczos_smallest_with(a, k, opts, Some(token))
-}
-
-fn lanczos_smallest_with(
-    a: &CsrMatrix,
-    k: usize,
-    opts: &LanczosOptions,
-    token: Option<&CancelToken>,
+    exec: &Exec,
 ) -> Result<LanczosResult> {
     let n = a.n_rows();
     if a.n_cols() != n {
@@ -216,9 +204,7 @@ fn lanczos_smallest_with(
     basis.push(v);
 
     for j in 0..m_max {
-        if let Some(t) = token {
-            t.checkpoint()?;
-        }
+        exec.checkpoint()?;
         let vj = basis[j].clone();
         let mut w = a.mul_vec(&vj)?;
         let aj = dense::dot(&w, &vj);
@@ -289,6 +275,7 @@ fn lanczos_smallest_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use crate::coo::CooMatrix;
 
     fn laplacian_path(n: usize) -> CsrMatrix {
@@ -346,7 +333,7 @@ mod tests {
     fn lanczos_finds_smallest_of_path_laplacian() {
         let n = 30;
         let l = laplacian_path(n);
-        let r = lanczos_smallest(&l, 3, &LanczosOptions::default()).unwrap();
+        let r = lanczos_smallest(&l, 3, &LanczosOptions::default(), &Exec::default()).unwrap();
         // Path Laplacian eigenvalues: 4 sin^2(pi k / (2n)), k = 0..n-1.
         for (k, &lam) in r.eigenvalues.iter().enumerate() {
             let expected = 4.0
@@ -369,7 +356,7 @@ mod tests {
     #[test]
     fn lanczos_eigenpairs_satisfy_av_eq_lambda_v() {
         let l = laplacian_path(20);
-        let r = lanczos_smallest(&l, 4, &LanczosOptions::default()).unwrap();
+        let r = lanczos_smallest(&l, 4, &LanczosOptions::default(), &Exec::default()).unwrap();
         for (lam, v) in r.eigenvalues.iter().zip(&r.eigenvectors) {
             let av = l.mul_vec(v).unwrap();
             for (a, b) in av.iter().zip(v.iter()) {
@@ -381,7 +368,7 @@ mod tests {
     #[test]
     fn lanczos_eigenvectors_are_orthonormal() {
         let l = laplacian_path(25);
-        let r = lanczos_smallest(&l, 5, &LanczosOptions::default()).unwrap();
+        let r = lanczos_smallest(&l, 5, &LanczosOptions::default(), &Exec::default()).unwrap();
         for i in 0..r.eigenvectors.len() {
             for j in 0..r.eigenvectors.len() {
                 let d = dense::dot(&r.eigenvectors[i], &r.eigenvectors[j]);
@@ -402,7 +389,7 @@ mod tests {
             coo.push(v, v, 1.0).unwrap();
         }
         let l = coo.to_csr();
-        let r = lanczos_smallest(&l, 2, &LanczosOptions::default()).unwrap();
+        let r = lanczos_smallest(&l, 2, &LanczosOptions::default(), &Exec::default()).unwrap();
         assert!(r.eigenvalues[0].abs() < 1e-8);
         assert!(r.eigenvalues[1].abs() < 1e-8);
     }
@@ -410,16 +397,16 @@ mod tests {
     #[test]
     fn lanczos_rejects_bad_args() {
         let l = laplacian_path(5);
-        assert!(lanczos_smallest(&l, 0, &LanczosOptions::default()).is_err());
-        assert!(lanczos_smallest(&l, 6, &LanczosOptions::default()).is_err());
+        assert!(lanczos_smallest(&l, 0, &LanczosOptions::default(), &Exec::default()).is_err());
+        assert!(lanczos_smallest(&l, 6, &LanczosOptions::default(), &Exec::default()).is_err());
         let rect = CsrMatrix::zeros(2, 3);
-        assert!(lanczos_smallest(&rect, 1, &LanczosOptions::default()).is_err());
+        assert!(lanczos_smallest(&rect, 1, &LanczosOptions::default(), &Exec::default()).is_err());
     }
 
     #[test]
     fn lanczos_full_space_small_matrix() {
         let l = laplacian_path(4);
-        let r = lanczos_smallest(&l, 4, &LanczosOptions::default()).unwrap();
+        let r = lanczos_smallest(&l, 4, &LanczosOptions::default(), &Exec::default()).unwrap();
         assert_eq!(r.eigenvalues.len(), 4);
         // Trace check: sum of eigenvalues == trace of Laplacian (= 2*(n-1)).
         let total: f64 = r.eigenvalues.iter().sum();
@@ -429,10 +416,12 @@ mod tests {
     #[test]
     fn lanczos_live_token_matches_plain() {
         let l = laplacian_path(20);
-        let token = CancelToken::new();
-        let plain = lanczos_smallest(&l, 3, &LanczosOptions::default()).unwrap();
-        let with_token =
-            lanczos_smallest_cancellable(&l, 3, &LanczosOptions::default(), &token).unwrap();
+        let exec = Exec {
+            token: Some(CancelToken::new()),
+            ..Exec::default()
+        };
+        let plain = lanczos_smallest(&l, 3, &LanczosOptions::default(), &Exec::default()).unwrap();
+        let with_token = lanczos_smallest(&l, 3, &LanczosOptions::default(), &exec).unwrap();
         assert_eq!(plain.eigenvalues, with_token.eigenvalues);
         assert_eq!(plain.subspace_dim, with_token.subspace_dim);
     }
@@ -451,9 +440,13 @@ mod tests {
         };
         let token = CancelToken::new();
         let canceller = token.clone();
+        let exec = Exec {
+            token: Some(token),
+            ..Exec::default()
+        };
         let started = std::time::Instant::now();
         let result = crossbeam::thread::scope(|scope| {
-            let handle = scope.spawn(|_| lanczos_smallest_cancellable(&l, 2, &slow, &token));
+            let handle = scope.spawn(|_| lanczos_smallest(&l, 2, &slow, &exec));
             std::thread::sleep(std::time::Duration::from_millis(30));
             canceller.cancel();
             handle.join().expect("lanczos worker panicked")
@@ -470,7 +463,7 @@ mod tests {
         // No poisoned state: the same matrix solves fine afterwards. A
         // 40-dim Krylov space only approximates the n=3000 spectrum, so we
         // check sanity (finite, ascending, near the low end) not exactness.
-        let again = lanczos_smallest(&l, 2, &LanczosOptions::default()).unwrap();
+        let again = lanczos_smallest(&l, 2, &LanczosOptions::default(), &Exec::default()).unwrap();
         assert_eq!(again.eigenvalues.len(), 2);
         assert!(again.eigenvalues.iter().all(|x| x.is_finite()));
         assert!(again.eigenvalues[0] <= again.eigenvalues[1]);

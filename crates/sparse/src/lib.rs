@@ -8,12 +8,12 @@
 //!
 //! * [`CsrMatrix`] — compressed sparse row matrices with checked invariants,
 //! * [`CooMatrix`] — a triplet builder that deduplicates on conversion,
-//! * Gustavson-style sparse matrix–matrix multiplication ([`spgemm`]),
-//!   including a thresholded variant that prunes on the fly and a
-//!   crossbeam-parallel variant scheduled by work-stealing over row blocks,
-//!   with per-row adaptive accumulation ([`AccumStrategy`]): wide rows use
-//!   an epoch-stamped dense scratch accumulator, narrow rows a sorted
-//!   sparse gather, bit-identical either way,
+//! * Gustavson-style sparse matrix–matrix multiplication ([`spgemm`]) that
+//!   prunes on the fly and runs crossbeam-parallel, scheduled by
+//!   work-stealing over row blocks, with per-row adaptive accumulation
+//!   ([`AccumStrategy`]): wide rows use an epoch-stamped dense scratch
+//!   accumulator, narrow rows a sorted sparse gather, bit-identical either
+//!   way,
 //! * a symmetric SYRK kernel family ([`spgemm_syrk`]) computing `X·Xᵀ`
 //!   (and fused sums of such products) upper-triangle-only with an O(nnz)
 //!   mirror pass — the hot path of the Bibliometric and Degree-discounted
@@ -26,6 +26,10 @@
 //!   reorthogonalization plus an implicit-QL tridiagonal eigensolver (used by
 //!   the spectral clustering baseline).
 //!
+//! Every kernel takes one [`Exec`]: the cancel token, the metrics
+//! registry, the thread count, the accumulator strategy and the panel
+//! plan — everything about a call that never changes its output.
+//!
 //! The matrix types use `u32` column indices and `f64` values; graphs of up
 //! to ~4 billion vertices are representable, far beyond what the in-memory
 //! algorithms here will be asked to handle.
@@ -36,6 +40,7 @@ pub mod coo;
 pub mod csr;
 pub mod dense;
 pub mod error;
+pub mod exec;
 pub mod lanczos;
 pub mod ops;
 pub mod pagerank;
@@ -45,26 +50,17 @@ pub mod spgemm;
 mod spill;
 pub mod syrk;
 
-pub use accum::{accum_from_env, AccumStrategy, DEFAULT_ACCUM_CROSSOVER};
+pub use accum::{AccumStrategy, DEFAULT_ACCUM_CROSSOVER};
 pub use cancel::CancelToken;
 pub use coo::CooMatrix;
 pub use csr::{validate_parts, CsrMatrix};
 pub use error::SparseError;
-pub use lanczos::{
-    lanczos_smallest, lanczos_smallest_cancellable, tridiagonal_eigen, LanczosOptions,
-    LanczosResult,
-};
-pub use pagerank::{
-    pagerank, pagerank_cancellable, stationary_distribution, PageRankOptions, PageRankResult,
-};
+pub use exec::Exec;
+pub use lanczos::{lanczos_smallest, tridiagonal_eigen, LanczosOptions, LanczosResult};
+pub use pagerank::{pagerank, stationary_distribution, PageRankOptions, PageRankResult};
 pub use panel::{PanelPlan, DEFAULT_PANEL_ROWS};
-pub use spgemm::{
-    spgemm, spgemm_budgeted, spgemm_cancellable, spgemm_nnz_upper_bound, spgemm_observed,
-    spgemm_parallel, spgemm_thresholded, threads_from_env, BudgetedSpgemm, SpgemmOptions,
-};
-pub use syrk::{
-    spgemm_syrk, spgemm_syrk_observed, spgemm_syrk_sum_budgeted, spgemm_syrk_sum_observed, SyrkTerm,
-};
+pub use spgemm::{spgemm, spgemm_budgeted, spgemm_nnz_upper_bound, BudgetedSpgemm, SpgemmOptions};
+pub use syrk::{spgemm_syrk, spgemm_syrk_sum, spgemm_syrk_sum_budgeted, SyrkTerm};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, SparseError>;

@@ -8,10 +8,10 @@
 //! the standard PageRank convention, which guarantees a unique stationary
 //! distribution for any input graph.
 
-use crate::cancel::CancelToken;
 use crate::csr::CsrMatrix;
 use crate::dense;
 use crate::error::SparseError;
+use crate::exec::Exec;
 use crate::ops::row_normalize;
 use crate::Result;
 
@@ -50,28 +50,11 @@ pub struct PageRankResult {
 /// Computes the PageRank vector of the directed adjacency matrix `a`.
 ///
 /// `a` is row-normalized internally; edge weights act as transition
-/// preferences.
-pub fn pagerank(a: &CsrMatrix, opts: &PageRankOptions) -> Result<PageRankResult> {
-    pagerank_with(a, opts, None)
-}
-
-/// [`pagerank`] that polls `token` once per power iteration and bails out
-/// with [`SparseError::Cancelled`] when it trips (explicitly or by
+/// preferences. Polls `exec`'s token once per power iteration and bails
+/// out with [`SparseError::Cancelled`] when it trips (explicitly or by
 /// deadline). The iteration holds no shared state, so a cancelled run
 /// leaves nothing poisoned — the same matrix can be solved again.
-pub fn pagerank_cancellable(
-    a: &CsrMatrix,
-    opts: &PageRankOptions,
-    token: &CancelToken,
-) -> Result<PageRankResult> {
-    pagerank_with(a, opts, Some(token))
-}
-
-fn pagerank_with(
-    a: &CsrMatrix,
-    opts: &PageRankOptions,
-    token: Option<&CancelToken>,
-) -> Result<PageRankResult> {
+pub fn pagerank(a: &CsrMatrix, opts: &PageRankOptions, exec: &Exec) -> Result<PageRankResult> {
     if a.n_rows() != a.n_cols() {
         return Err(SparseError::DimensionMismatch {
             op: "pagerank",
@@ -101,9 +84,7 @@ fn pagerank_with(
     let mut pi = vec![uniform; n];
     let mut next = vec![0.0f64; n];
     for iter in 1..=opts.max_iter {
-        if let Some(t) = token {
-            t.checkpoint()?;
-        }
+        exec.checkpoint()?;
         // next = damping * (Pᵀ pi + dangling_mass * uniform) + teleport * uniform
         let mut dangling_mass = 0.0;
         for (i, &d) in dangling.iter().enumerate() {
@@ -145,12 +126,13 @@ fn pagerank_with(
 /// Convenience wrapper returning just the stationary distribution with the
 /// paper's default teleport probability of 0.05.
 pub fn stationary_distribution(a: &CsrMatrix) -> Result<Vec<f64>> {
-    pagerank(a, &PageRankOptions::default()).map(|r| r.pi)
+    pagerank(a, &PageRankOptions::default(), &Exec::default()).map(|r| r.pi)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use crate::coo::CooMatrix;
 
     #[test]
@@ -163,7 +145,7 @@ mod tests {
             vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)],
         )
         .unwrap();
-        let r = pagerank(&coo.to_csr(), &PageRankOptions::default()).unwrap();
+        let r = pagerank(&coo.to_csr(), &PageRankOptions::default(), &Exec::default()).unwrap();
         for &v in &r.pi {
             assert!((v - 0.25).abs() < 1e-8, "pi = {:?}", r.pi);
         }
@@ -174,7 +156,7 @@ mod tests {
     fn sums_to_one_with_dangling_nodes() {
         // Node 2 is dangling.
         let coo = CooMatrix::from_triplets(3, 3, vec![(0, 2, 1.0), (1, 2, 1.0)]).unwrap();
-        let r = pagerank(&coo.to_csr(), &PageRankOptions::default()).unwrap();
+        let r = pagerank(&coo.to_csr(), &PageRankOptions::default(), &Exec::default()).unwrap();
         let sum: f64 = r.pi.iter().sum();
         assert!((sum - 1.0).abs() < 1e-10);
         // The dangling sink accumulates the most mass.
@@ -190,7 +172,7 @@ mod tests {
             coo.push(i, 0, 1.0).unwrap();
         }
         coo.push(0, 1, 1.0).unwrap(); // keep node 0 non-dangling
-        let r = pagerank(&coo.to_csr(), &PageRankOptions::default()).unwrap();
+        let r = pagerank(&coo.to_csr(), &PageRankOptions::default(), &Exec::default()).unwrap();
         for i in 2..5 {
             assert!(r.pi[0] > r.pi[i]);
         }
@@ -218,7 +200,7 @@ mod tests {
             tol: 1e-13,
             max_iter: 5000,
         };
-        let r = pagerank(&a, &opts).unwrap();
+        let r = pagerank(&a, &opts, &Exec::default()).unwrap();
         // Rebuild one explicit iteration and compare.
         let p = row_normalize(&a);
         let n = a.n_rows();
@@ -239,24 +221,34 @@ mod tests {
     #[test]
     fn rejects_bad_inputs() {
         let rect = CsrMatrix::zeros(2, 3);
-        assert!(pagerank(&rect, &PageRankOptions::default()).is_err());
+        assert!(pagerank(&rect, &PageRankOptions::default(), &Exec::default()).is_err());
         let sq = CsrMatrix::zeros(2, 2);
         let bad = PageRankOptions {
             teleport: 1.5,
             ..Default::default()
         };
-        assert!(pagerank(&sq, &bad).is_err());
+        assert!(pagerank(&sq, &bad, &Exec::default()).is_err());
     }
 
     #[test]
     fn empty_matrix_is_ok() {
-        let r = pagerank(&CsrMatrix::zeros(0, 0), &PageRankOptions::default()).unwrap();
+        let r = pagerank(
+            &CsrMatrix::zeros(0, 0),
+            &PageRankOptions::default(),
+            &Exec::default(),
+        )
+        .unwrap();
         assert!(r.pi.is_empty());
     }
 
     #[test]
     fn all_dangling_gives_uniform() {
-        let r = pagerank(&CsrMatrix::zeros(4, 4), &PageRankOptions::default()).unwrap();
+        let r = pagerank(
+            &CsrMatrix::zeros(4, 4),
+            &PageRankOptions::default(),
+            &Exec::default(),
+        )
+        .unwrap();
         for &v in &r.pi {
             assert!((v - 0.25).abs() < 1e-10);
         }
@@ -280,9 +272,12 @@ mod tests {
     #[test]
     fn live_token_matches_plain_pagerank() {
         let a = directed_ring(16);
-        let token = CancelToken::new();
-        let plain = pagerank(&a, &PageRankOptions::default()).unwrap();
-        let with_token = pagerank_cancellable(&a, &PageRankOptions::default(), &token).unwrap();
+        let exec = Exec {
+            token: Some(CancelToken::new()),
+            ..Exec::default()
+        };
+        let plain = pagerank(&a, &PageRankOptions::default(), &Exec::default()).unwrap();
+        let with_token = pagerank(&a, &PageRankOptions::default(), &exec).unwrap();
         assert_eq!(plain.pi, with_token.pi);
         assert_eq!(plain.iterations, with_token.iterations);
     }
@@ -299,9 +294,13 @@ mod tests {
         };
         let token = CancelToken::new();
         let canceller = token.clone();
+        let exec = Exec {
+            token: Some(token),
+            ..Exec::default()
+        };
         let started = std::time::Instant::now();
         let result = crossbeam::thread::scope(|scope| {
-            let handle = scope.spawn(|_| pagerank_cancellable(&a, &endless, &token));
+            let handle = scope.spawn(|_| pagerank(&a, &endless, &exec));
             // Let the iteration genuinely start, then cancel mid-flight.
             std::thread::sleep(std::time::Duration::from_millis(30));
             canceller.cancel();
@@ -317,7 +316,7 @@ mod tests {
             "cancellation was not prompt"
         );
         // No poisoned state: the same matrix solves fine afterwards.
-        let again = pagerank(&a, &PageRankOptions::default()).unwrap();
+        let again = pagerank(&a, &PageRankOptions::default(), &Exec::default()).unwrap();
         assert!((again.pi.iter().sum::<f64>() - 1.0).abs() < 1e-10);
     }
 }

@@ -47,9 +47,9 @@ use crate::accum::{
     gather_scaled, gather_scaled_term, reduce_pairs, reduce_pairs_terms, scatter_scaled,
     scatter_scaled_seen,
 };
-use crate::cancel::CancelToken;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
+use crate::exec::Exec;
 use crate::sched::BlockQueues;
 use crate::spgemm::{
     emits, panic_text, resolve_threads, RowKernelOutput, RowScratch, SpgemmCounts, SpgemmOptions,
@@ -57,7 +57,6 @@ use crate::spgemm::{
 use crate::spill::{self, SpillDir, TileReader};
 use crate::syrk::{flush_syrk, mirror_upper, SyrkScratch, SyrkTerm};
 use crate::Result;
-use symclust_obs::MetricsRegistry;
 
 /// Default rows (and columns) per panel when a [`PanelPlan`] is engaged
 /// without an explicit size. Large enough that panel bookkeeping is noise
@@ -65,10 +64,10 @@ use symclust_obs::MetricsRegistry;
 /// fits comfortably in RAM at paper scale.
 pub const DEFAULT_PANEL_ROWS: usize = 4096;
 
-/// Out-of-core execution plan for SpGEMM, threaded through
-/// [`SpgemmOptions`]. The plan changes *where* the multiply runs — never
-/// its output bytes or deterministic work counters — so, like the thread
-/// and accumulator knobs, it must never reach cache keys (enforced by the
+/// Out-of-core execution plan for SpGEMM, carried by [`Exec::panel`].
+/// The plan changes *where* the multiply runs — never its output bytes or
+/// deterministic work counters — so, like the thread and accumulator
+/// knobs, it must never reach cache keys (enforced by the
 /// `cache-key-purity` lint).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PanelPlan {
@@ -95,26 +94,6 @@ impl PanelPlan {
         self.panel_rows
             .filter(|&r| r > 0)
             .unwrap_or(DEFAULT_PANEL_ROWS)
-    }
-
-    /// Builds a plan from the `SYMCLUST_PANEL_ROWS` (panel size) and
-    /// `SYMCLUST_MEMORY_BUDGET` (spill byte budget) environment variables.
-    /// Unset, unparsable, or zero values mean "no preference"; if both are
-    /// absent the plan is disengaged and the kernels run in memory.
-    pub fn from_env() -> PanelPlan {
-        fn env_usize(name: &str) -> Option<usize> {
-            std::env::var(name)
-                .ok()?
-                .trim()
-                .parse()
-                .ok()
-                .filter(|&v| v > 0)
-        }
-        PanelPlan {
-            panel_rows: env_usize("SYMCLUST_PANEL_ROWS"),
-            spill_dir: None,
-            budget_bytes: env_usize("SYMCLUST_MEMORY_BUDGET"),
-        }
     }
 }
 
@@ -408,7 +387,7 @@ fn gustavson_tile(
     owner: bool,
     scratch: &mut RowScratch,
     opts: &SpgemmOptions,
-    token: Option<&CancelToken>,
+    exec: &Exec,
     out: &mut TileData,
     counts: &mut SpgemmCounts,
 ) -> Result<()> {
@@ -420,16 +399,14 @@ fn gustavson_tile(
         pairs,
     } = scratch;
     for row in r_lo..r_hi {
-        if let Some(t) = token {
-            t.checkpoint()?;
-        }
+        exec.checkpoint()?;
         let before = out.indices.len();
         let full_width: usize = a
             .row_indices(row)
             .iter()
             .map(|&k| b.row_nnz(k as usize))
             .sum();
-        let dense = opts.row_is_dense(full_width);
+        let dense = opts.row_is_dense(exec.accum, full_width);
         if owner {
             counts.rows += 1;
             if dense {
@@ -494,7 +471,7 @@ fn syrk_tile(
     owner: bool,
     scratch: &mut SyrkScratch,
     opts: &SpgemmOptions,
-    token: Option<&CancelToken>,
+    exec: &Exec,
     out: &mut TileData,
     counts: &mut SpgemmCounts,
 ) -> Result<()> {
@@ -507,9 +484,7 @@ fn syrk_tile(
         pairs,
     } = scratch;
     for row in r_lo..r_hi {
-        if let Some(t) = token {
-            t.checkpoint()?;
-        }
+        exec.checkpoint()?;
         let before = out.indices.len();
         let full_width: usize = terms
             .iter()
@@ -521,7 +496,7 @@ fn syrk_tile(
                     .sum::<usize>()
             })
             .sum();
-        let dense = opts.row_is_dense(full_width);
+        let dense = opts.row_is_dense(exec.accum, full_width);
         if owner {
             counts.rows += 1;
             if dense {
@@ -591,21 +566,18 @@ fn panel_range(p: usize, panel_rows: usize, n: usize) -> (usize, usize) {
 }
 
 /// Out-of-core general SpGEMM: `C = A·B` through the panel grid.
-/// Dimensions must already be checked. `n_threads` and `record_steals`
-/// carry the dispatching funnel's semantics (the serial funnel passes
-/// `(1, false)`, the parallel funnel `(opts.n_threads, true)`).
+/// Dimensions must already be checked. `record_steals` carries the
+/// in-memory path's rule (a serial call records no steal counter).
 pub(crate) fn spgemm_panel(
     a: &CsrMatrix,
     b: &CsrMatrix,
     opts: &SpgemmOptions,
-    token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
-    n_threads: usize,
+    exec: &Exec,
     record_steals: bool,
 ) -> Result<CsrMatrix> {
     let n_rows = a.n_rows();
     let n_cols = b.n_cols();
-    let panel_rows = opts.panel.effective_panel_rows();
+    let panel_rows = exec.panel.effective_panel_rows();
     let n_row_panels = n_rows.div_ceil(panel_rows);
     let n_col_panels = n_cols.div_ceil(panel_rows).max(1);
     let n_tiles = n_row_panels * n_col_panels;
@@ -624,16 +596,16 @@ pub(crate) fn spgemm_panel(
     let est = |tile: usize| -> u64 {
         panel_flops[tile / n_col_panels].saturating_mul(12) / n_col_panels as u64
     };
-    let (spill_flags, n_spilled) = plan_spills(n_tiles, opts.panel.budget_bytes, est);
+    let (spill_flags, n_spilled) = plan_spills(n_tiles, exec.panel.budget_bytes, est);
     let dir = if n_spilled > 0 {
-        Some(SpillDir::create(opts.panel.spill_dir.as_deref())?)
+        Some(SpillDir::create(exec.panel.spill_dir.as_deref())?)
     } else {
         None
     };
 
     let (outs, mut counts, steals, spill_bytes) = run_tiles(
         n_tiles,
-        n_threads,
+        exec.threads,
         &spill_flags,
         dir.as_ref(),
         || RowScratch::new(n_cols),
@@ -648,7 +620,7 @@ pub(crate) fn spgemm_panel(
                 pj == 0,
                 scratch,
                 opts,
-                token,
+                exec,
                 data,
                 counts,
             )
@@ -668,9 +640,9 @@ pub(crate) fn spgemm_panel(
         counts,
         steals,
     };
-    out.counts.flush(metrics);
+    out.counts.flush(exec.metrics());
     if record_steals {
-        out.flush_steals(metrics);
+        out.flush_steals(exec.metrics());
     }
     Ok(CsrMatrix::from_raw_parts_unchecked(
         n_rows,
@@ -688,10 +660,9 @@ pub(crate) fn spgemm_syrk_sum_panel(
     terms: &[SyrkTerm<'_>],
     n: usize,
     opts: &SpgemmOptions,
-    token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
+    exec: &Exec,
 ) -> Result<CsrMatrix> {
-    let panel_rows = opts.panel.effective_panel_rows();
+    let panel_rows = exec.panel.effective_panel_rows();
     let n_panels = n.div_ceil(panel_rows);
     // Upper-triangular tile list: tiles for row panel pi are (pi, pi..n_panels),
     // contiguous in index order — the layout merge_panel_outputs expects.
@@ -723,16 +694,16 @@ pub(crate) fn spgemm_syrk_sum_panel(
         let (pi, _) = tile_panels[tile];
         panel_flops[pi].saturating_mul(12) / (n_panels - pi) as u64
     };
-    let (spill_flags, n_spilled) = plan_spills(n_tiles, opts.panel.budget_bytes, est);
+    let (spill_flags, n_spilled) = plan_spills(n_tiles, exec.panel.budget_bytes, est);
     let dir = if n_spilled > 0 {
-        Some(SpillDir::create(opts.panel.spill_dir.as_deref())?)
+        Some(SpillDir::create(exec.panel.spill_dir.as_deref())?)
     } else {
         None
     };
 
     let (outs, mut counts, steals, spill_bytes) = run_tiles(
         n_tiles,
-        opts.n_threads,
+        exec.threads,
         &spill_flags,
         dir.as_ref(),
         || SyrkScratch::new(n, terms.len()),
@@ -745,7 +716,7 @@ pub(crate) fn spgemm_syrk_sum_panel(
                 pj == pi,
                 scratch,
                 opts,
-                token,
+                exec,
                 data,
                 counts,
             )
@@ -767,7 +738,7 @@ pub(crate) fn spgemm_syrk_sum_panel(
         counts,
         steals,
     };
-    flush_syrk(&out, mirrored, metrics);
+    flush_syrk(&out, mirrored, exec.metrics());
     Ok(CsrMatrix::from_raw_parts_unchecked(
         n,
         n,
@@ -780,9 +751,11 @@ pub(crate) fn spgemm_syrk_sum_panel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use crate::ops::transpose;
-    use crate::spgemm::{spgemm_observed, spgemm_parallel};
-    use crate::syrk::spgemm_syrk_sum_observed;
+    use crate::spgemm::spgemm;
+    use crate::syrk::spgemm_syrk_sum;
+    use symclust_obs::MetricsRegistry;
 
     fn pseudo_random_matrix(n: usize, seed: u64, density_shift: u32) -> CsrMatrix {
         let mut rows = vec![vec![0.0; n]; n];
@@ -800,24 +773,36 @@ mod tests {
         CsrMatrix::from_dense(&rows)
     }
 
-    fn panel_opts(panel_rows: usize, budget: Option<usize>) -> SpgemmOptions {
-        SpgemmOptions {
-            n_threads: 1,
+    fn panel_exec(panel_rows: usize, budget: Option<usize>) -> Exec {
+        Exec {
+            threads: 1,
             panel: PanelPlan {
                 panel_rows: Some(panel_rows),
                 spill_dir: None,
                 budget_bytes: budget,
             },
-            ..Default::default()
+            ..Exec::default()
         }
     }
 
-    fn baseline_opts() -> SpgemmOptions {
-        SpgemmOptions {
-            n_threads: 1,
+    fn baseline_exec() -> Exec {
+        Exec {
+            threads: 1,
             panel: PanelPlan::default(),
-            ..Default::default()
+            ..Exec::default()
         }
+    }
+
+    /// `exec` recording into `m`.
+    fn observed(exec: Exec, m: &MetricsRegistry) -> Exec {
+        Exec {
+            metrics: Some(m.clone()),
+            ..exec
+        }
+    }
+
+    fn mul(a: &CsrMatrix, b: &CsrMatrix, exec: &Exec) -> Result<CsrMatrix> {
+        spgemm(a, b, &SpgemmOptions::default(), exec)
     }
 
     #[test]
@@ -873,9 +858,9 @@ mod tests {
     #[test]
     fn panel_matches_in_memory_bitwise_across_panel_sizes() {
         let a = pseudo_random_matrix(80, 0x243F6A8885A308D3, 3);
-        let baseline = spgemm_observed(&a, &a, &baseline_opts(), None, None).unwrap();
+        let baseline = mul(&a, &a, &baseline_exec()).unwrap();
         for panel_rows in [1, 3, 7, 16, 100] {
-            let got = spgemm_observed(&a, &a, &panel_opts(panel_rows, None), None, None).unwrap();
+            let got = mul(&a, &a, &panel_exec(panel_rows, None)).unwrap();
             assert_eq!(baseline, got, "panel_rows {panel_rows}");
         }
     }
@@ -883,9 +868,9 @@ mod tests {
     #[test]
     fn forced_spills_do_not_change_output() {
         let a = pseudo_random_matrix(60, 0x9E3779B97F4A7C15, 3);
-        let baseline = spgemm_observed(&a, &a, &baseline_opts(), None, None).unwrap();
+        let baseline = mul(&a, &a, &baseline_exec()).unwrap();
         let m = MetricsRegistry::new();
-        let got = spgemm_observed(&a, &a, &panel_opts(16, Some(1)), None, Some(&m)).unwrap();
+        let got = mul(&a, &a, &observed(panel_exec(16, Some(1)), &m)).unwrap();
         assert_eq!(baseline, got);
         let snap = m.snapshot();
         assert!(snap.counter("spgemm.panels").unwrap() > 1);
@@ -897,9 +882,9 @@ mod tests {
     fn panel_work_counters_match_in_memory() {
         let a = pseudo_random_matrix(70, 0xB7E151628AED2A6A, 3);
         let base = MetricsRegistry::new();
-        spgemm_observed(&a, &a, &baseline_opts(), None, Some(&base)).unwrap();
+        mul(&a, &a, &observed(baseline_exec(), &base)).unwrap();
         let pan = MetricsRegistry::new();
-        spgemm_observed(&a, &a, &panel_opts(9, Some(64)), None, Some(&pan)).unwrap();
+        mul(&a, &a, &observed(panel_exec(9, Some(64)), &pan)).unwrap();
         for key in [
             "spgemm.rows",
             "spgemm.flops",
@@ -925,28 +910,23 @@ mod tests {
     #[test]
     fn parallel_panel_is_bit_identical_and_spills_deterministically() {
         let a = pseudo_random_matrix(150, 0x452821E638D01377, 3);
-        let baseline = spgemm_observed(&a, &a, &baseline_opts(), None, None).unwrap();
+        let baseline = mul(&a, &a, &baseline_exec()).unwrap();
         for n_threads in [2, 4] {
-            let opts = SpgemmOptions {
-                n_threads,
-                panel: PanelPlan {
-                    panel_rows: Some(13),
-                    spill_dir: None,
-                    budget_bytes: Some(2000),
-                },
-                ..Default::default()
+            let exec = Exec {
+                threads: n_threads,
+                ..panel_exec(13, Some(2000))
             };
             let m = MetricsRegistry::new();
-            let got = spgemm_parallel(&a, &a, &opts).unwrap();
+            let got = mul(&a, &a, &exec).unwrap();
             assert_eq!(baseline, got, "threads {n_threads}");
-            spgemm_observed(&a, &a, &opts, None, Some(&m)).unwrap();
+            mul(&a, &a, &observed(exec.clone(), &m)).unwrap();
             let spills = m.snapshot().counter("spgemm.panel_spills");
             let serial = MetricsRegistry::new();
-            let serial_opts = SpgemmOptions {
-                n_threads: 1,
-                ..opts.clone()
+            let serial_exec = Exec {
+                threads: 1,
+                ..exec.clone()
             };
-            spgemm_observed(&a, &a, &serial_opts, None, Some(&serial)).unwrap();
+            mul(&a, &a, &observed(serial_exec, &serial)).unwrap();
             assert_eq!(
                 spills,
                 serial.snapshot().counter("spgemm.panel_spills"),
@@ -961,23 +941,15 @@ mod tests {
         let y = pseudo_random_matrix(64, 0x9E3779B97F4A7C15, 3);
         let (xt, yt) = (transpose(&x), transpose(&y));
         let terms = [SyrkTerm { x: &x, xt: &xt }, SyrkTerm { x: &y, xt: &yt }];
-        let mk = |panel: PanelPlan| SpgemmOptions {
+        let opts = SpgemmOptions {
             threshold: 0.5,
             drop_diagonal: true,
-            n_threads: 1,
-            panel,
             ..Default::default()
         };
-        let baseline =
-            spgemm_syrk_sum_observed(&terms, &mk(PanelPlan::default()), None, None).unwrap();
+        let baseline = spgemm_syrk_sum(&terms, &opts, &baseline_exec()).unwrap();
         for panel_rows in [1, 5, 17, 64] {
             for budget in [None, Some(1), Some(4096)] {
-                let plan = PanelPlan {
-                    panel_rows: Some(panel_rows),
-                    spill_dir: None,
-                    budget_bytes: budget,
-                };
-                let got = spgemm_syrk_sum_observed(&terms, &mk(plan), None, None).unwrap();
+                let got = spgemm_syrk_sum(&terms, &opts, &panel_exec(panel_rows, budget)).unwrap();
                 assert_eq!(baseline, got, "panel_rows {panel_rows} budget {budget:?}");
             }
         }
@@ -991,16 +963,17 @@ mod tests {
         std::fs::create_dir_all(&base).unwrap();
         let token = CancelToken::new();
         token.cancel();
-        let opts = SpgemmOptions {
-            n_threads: 1,
+        let exec = Exec {
+            token: Some(token),
+            threads: 1,
             panel: PanelPlan {
                 panel_rows: Some(8),
                 spill_dir: Some(base.clone()),
                 budget_bytes: Some(1),
             },
-            ..Default::default()
+            ..Exec::default()
         };
-        let r = spgemm_observed(&a, &a, &opts, Some(&token), None);
+        let r = mul(&a, &a, &exec);
         assert_eq!(r, Err(SparseError::Cancelled));
         let leftovers = std::fs::read_dir(&base).unwrap().count();
         assert_eq!(leftovers, 0, "scratch dirs must be removed on cancellation");
@@ -1050,8 +1023,8 @@ mod tests {
         for (rows, cols) in [(0usize, 0usize), (0, 5), (5, 0), (1, 1)] {
             let a = CsrMatrix::zeros(rows, 7);
             let b = CsrMatrix::zeros(7, cols);
-            let got = spgemm_observed(&a, &b, &panel_opts(2, Some(1)), None, None).unwrap();
-            let want = spgemm_observed(&a, &b, &baseline_opts(), None, None).unwrap();
+            let got = mul(&a, &b, &panel_exec(2, Some(1))).unwrap();
+            let want = mul(&a, &b, &baseline_exec()).unwrap();
             assert_eq!(want, got, "{rows}x{cols}");
         }
     }

@@ -1,33 +1,32 @@
 //! Sparse matrix–matrix multiplication (SpGEMM).
 //!
-//! All variants use Gustavson's row-wise algorithm: row `i` of `C = A·B` is
+//! [`spgemm`] uses Gustavson's row-wise algorithm: row `i` of `C = A·B` is
 //! the linear combination of the rows of `B` selected by the non-zeros of row
 //! `i` of `A`, accumulated in a dense scratch vector with a "touched columns"
 //! list so clearing costs O(row nnz), not O(n).
 //!
-//! The thresholded variant applies a prune threshold *during* accumulation
-//! output, which is what makes the paper's Degree-discounted symmetrization
-//! tractable on hub-heavy graphs: the full product is never materialized
-//! (§3.5 of the paper). The parallel variant schedules output-row *blocks*
-//! over crossbeam scoped threads with per-thread accumulators and
-//! work-stealing (see [`crate::sched`]): a worker that drains its own block
-//! range steals blocks from a victim's tail, so power-law rows cannot
-//! strand the pool behind one overloaded static chunk. Blocks are
-//! reassembled in index order, so the output and every work counter are
-//! bit-identical for any thread count.
+//! [`SpgemmOptions::threshold`] prunes *during* accumulation output, which
+//! is what makes the paper's Degree-discounted symmetrization tractable on
+//! hub-heavy graphs: the full product is never materialized (§3.5 of the
+//! paper). With more than one thread ([`Exec::threads`]) output-row
+//! *blocks* are scheduled over crossbeam scoped threads with per-thread
+//! accumulators and work-stealing (see [`crate::sched`]): a worker that
+//! drains its own block range steals blocks from a victim's tail, so
+//! power-law rows cannot strand the pool behind one overloaded static
+//! chunk. Blocks are reassembled in index order, so the output and every
+//! work counter are bit-identical for any thread count.
 //!
 //! The symmetric `C = X·Xᵀ` case has a dedicated upper-triangle kernel in
 //! [`crate::syrk`] that shares this module's scratch discipline, counters
 //! and scheduler.
 
 use crate::accum::{
-    accum_from_env, gather_scaled, reduce_pairs, scatter_scaled, AccumStrategy, DenseAccum,
-    DEFAULT_ACCUM_CROSSOVER,
+    gather_scaled, reduce_pairs, scatter_scaled, AccumStrategy, DenseAccum, DEFAULT_ACCUM_CROSSOVER,
 };
 use crate::cancel::CancelToken;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
-use crate::panel::PanelPlan;
+use crate::exec::Exec;
 use crate::sched::{BlockQueues, DEFAULT_BLOCK_ROWS};
 use crate::Result;
 use symclust_obs::MetricsRegistry;
@@ -95,13 +94,6 @@ pub mod metric_names {
     pub const SPILL_BYTES: &str = "spgemm.spill_bytes";
 }
 
-/// Parses the `SYMCLUST_THREADS` environment variable: the default SpGEMM
-/// thread count used by the symmetrizer option structs (`0` = one thread
-/// per available core). Unset or unparsable means "no preference".
-pub fn threads_from_env() -> Option<usize> {
-    std::env::var("SYMCLUST_THREADS").ok()?.trim().parse().ok()
-}
-
 /// Work counts accumulated in plain locals during a kernel run and
 /// flushed to the registry once per call — the atomics are never touched
 /// in the row loop.
@@ -148,49 +140,21 @@ impl SpgemmCounts {
     }
 }
 
-/// Options controlling SpGEMM execution.
-#[derive(Debug, Clone)]
+/// What an SpGEMM call computes. How it runs — threads, accumulator
+/// strategy, panel plan, cancellation, metrics — is the [`Exec`] passed
+/// alongside.
+#[derive(Debug, Clone, Default)]
 pub struct SpgemmOptions {
     /// Entries with value strictly below this threshold are discarded from
     /// the output (applied to the final accumulated value of each entry).
     pub threshold: f64,
-    /// Number of worker threads for the parallel variant; 0 means "use
-    /// available parallelism".
-    pub n_threads: usize,
     /// When true, diagonal entries of the output are discarded. Similarity
     /// matrices use this: self-similarity carries no clustering signal.
     pub drop_diagonal: bool,
-    /// Per-row accumulator strategy (see [`crate::accum`]). Output bytes
-    /// and every deterministic counter except `spgemm.rows_dense` /
-    /// `spgemm.rows_sparse` are identical for every setting; the default
-    /// honors the `SYMCLUST_ACCUM` environment variable and falls back to
-    /// [`AccumStrategy::Adaptive`].
-    pub accum: AccumStrategy,
     /// Adaptive crossover in estimated multiply-adds per row: rows at or
     /// above it accumulate densely, rows below it sparsely. `None` uses
     /// [`DEFAULT_ACCUM_CROSSOVER`].
     pub accum_crossover: Option<usize>,
-    /// Out-of-core panel plan (see [`crate::panel`]). Disengaged by
-    /// default; when engaged the multiply runs tile by tile with optional
-    /// spill-to-disk, producing bit-identical output and identical
-    /// deterministic work counters. Like the thread and accumulator knobs
-    /// this never reaches cache keys; the default honors the
-    /// `SYMCLUST_PANEL_ROWS` / `SYMCLUST_MEMORY_BUDGET` environment
-    /// variables.
-    pub panel: PanelPlan,
-}
-
-impl Default for SpgemmOptions {
-    fn default() -> Self {
-        SpgemmOptions {
-            threshold: 0.0,
-            n_threads: 0,
-            drop_diagonal: false,
-            accum: accum_from_env().unwrap_or_default(),
-            accum_crossover: None,
-            panel: PanelPlan::from_env(),
-        }
-    }
 }
 
 impl SpgemmOptions {
@@ -202,8 +166,8 @@ impl SpgemmOptions {
     /// Resolves the per-row strategy from the estimated multiply-add
     /// count (= estimated intermediate width upper bound) for the row.
     #[inline]
-    pub(crate) fn row_is_dense(&self, estimated_width: usize) -> bool {
-        match self.accum {
+    pub(crate) fn row_is_dense(&self, accum: AccumStrategy, estimated_width: usize) -> bool {
+        match accum {
             AccumStrategy::Dense => true,
             AccumStrategy::Sparse => false,
             AccumStrategy::Adaptive => estimated_width >= self.crossover(),
@@ -222,7 +186,7 @@ fn check_dims(a: &CsrMatrix, b: &CsrMatrix) -> Result<()> {
     Ok(())
 }
 
-/// Resolves an [`SpgemmOptions::n_threads`] request to a concrete count.
+/// Resolves an [`Exec::threads`] request to a concrete count.
 pub(crate) fn resolve_threads(n_threads: usize) -> usize {
     if n_threads == 0 {
         std::thread::available_parallelism().map_or(1, |p| p.get())
@@ -238,11 +202,11 @@ pub(crate) fn emits(v: f64, j: u32, row: usize, opts: &SpgemmOptions) -> bool {
 }
 
 /// Computes one output row with the strategy [`SpgemmOptions::row_is_dense`]
-/// picks from the row's Gustavson FLOP estimate, and flushes entries that
-/// pass the threshold into `(indices, values)`. Both strategies emit in
-/// ascending column order with bit-identical values (see [`crate::accum`]),
-/// so the choice never leaks into the output or the downstream block
-/// assembly.
+/// picks for `accum` from the row's Gustavson FLOP estimate, and flushes
+/// entries that pass the threshold into `(indices, values)`. Both
+/// strategies emit in ascending column order with bit-identical values
+/// (see [`crate::accum`]), so the choice never leaks into the output or
+/// the downstream block assembly.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn gustavson_row(
@@ -251,6 +215,7 @@ fn gustavson_row(
     row: usize,
     scratch: &mut RowScratch,
     opts: &SpgemmOptions,
+    accum: AccumStrategy,
     indices: &mut Vec<u32>,
     values: &mut Vec<f64>,
     counts: &mut SpgemmCounts,
@@ -266,7 +231,7 @@ fn gustavson_row(
         .map(|&k| b.row_nnz(k as usize))
         .sum();
     counts.flops += estimated_width as u64;
-    if opts.row_is_dense(estimated_width) {
+    if opts.row_is_dense(accum, estimated_width) {
         counts.rows_dense += 1;
         let acc = &mut scratch.acc;
         let touched = &mut scratch.touched;
@@ -560,109 +525,41 @@ impl RowScratch {
     }
 }
 
-/// Serial Gustavson SpGEMM: `C = A·B`.
-pub fn spgemm(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
-    spgemm_thresholded(a, b, &SpgemmOptions::default())
-}
-
-/// Serial Gustavson SpGEMM with on-the-fly pruning per [`SpgemmOptions`].
-pub fn spgemm_thresholded(a: &CsrMatrix, b: &CsrMatrix, opts: &SpgemmOptions) -> Result<CsrMatrix> {
-    spgemm_serial_with_token(a, b, opts, None, None)
-}
-
-/// [`spgemm_thresholded`] that polls `token` between output rows and bails
-/// out with [`SparseError::Cancelled`] once it trips.
-pub fn spgemm_cancellable(
+/// Gustavson SpGEMM `C = A·B`, pruned per `opts`, run per `exec`: on
+/// `exec.threads` workers (serially when `1`), through the out-of-core
+/// panel path when `exec.panel` is engaged, polling `exec.token` between
+/// output rows. Work counts (rows, flops, intermediate/final nnz,
+/// threshold drops — see [`metric_names`]) are accumulated in locals and
+/// flushed to `exec.metrics` once at the end of the call.
+pub fn spgemm(
     a: &CsrMatrix,
     b: &CsrMatrix,
     opts: &SpgemmOptions,
-    token: &CancelToken,
-) -> Result<CsrMatrix> {
-    spgemm_observed(a, b, opts, Some(token), None)
-}
-
-/// The fully instrumented SpGEMM entry point: optional cancellation plus
-/// optional metrics. Dispatches to the parallel kernel unless
-/// `opts.n_threads == 1`. Work counts (rows, flops, intermediate/final
-/// nnz, threshold drops — see [`metric_names`]) are accumulated in locals
-/// and flushed to `metrics` once at the end of the call.
-pub fn spgemm_observed(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    opts: &SpgemmOptions,
-    token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<CsrMatrix> {
-    if opts.n_threads != 1 {
-        spgemm_parallel_with_token(a, b, opts, token, metrics)
-    } else {
-        spgemm_serial_with_token(a, b, opts, token, metrics)
-    }
-}
-
-fn spgemm_serial_with_token(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    opts: &SpgemmOptions,
-    token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
+    exec: &Exec,
 ) -> Result<CsrMatrix> {
     check_dims(a, b)?;
-    if opts.panel.engaged() {
-        return crate::panel::spgemm_panel(a, b, opts, token, metrics, 1, false);
-    }
-    let n_rows = a.n_rows();
-    let n_cols = b.n_cols();
-    let out = run_rows_serial(
-        n_rows,
-        token,
-        &|| RowScratch::new(n_cols),
-        &|row, scratch: &mut RowScratch, indices, values, counts| {
-            gustavson_row(a, b, row, scratch, opts, indices, values, counts);
-        },
-    )?;
-    out.counts.flush(metrics);
-    Ok(CsrMatrix::from_raw_parts_unchecked(
-        n_rows,
-        n_cols,
-        out.indptr,
-        out.indices,
-        out.values,
-    ))
-}
-
-/// Parallel SpGEMM: output-row blocks are scheduled over workers with
-/// work-stealing; each worker runs Gustavson with its own reusable
-/// accumulator, and blocks are stitched together in index order, so the
-/// result is identical to the serial kernel for any thread count.
-pub fn spgemm_parallel(a: &CsrMatrix, b: &CsrMatrix, opts: &SpgemmOptions) -> Result<CsrMatrix> {
-    spgemm_parallel_with_token(a, b, opts, None, None)
-}
-
-fn spgemm_parallel_with_token(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    opts: &SpgemmOptions,
-    token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<CsrMatrix> {
-    check_dims(a, b)?;
-    if opts.panel.engaged() {
-        return crate::panel::spgemm_panel(a, b, opts, token, metrics, opts.n_threads, true);
+    // A serial call has no scheduler, so it records no steal counter.
+    let record_steals = exec.threads != 1;
+    if exec.panel.engaged() {
+        return crate::panel::spgemm_panel(a, b, opts, exec, record_steals);
     }
     let n_rows = a.n_rows();
     let n_cols = b.n_cols();
     let out = run_rows(
         n_rows,
-        opts.n_threads,
-        token,
+        exec.threads,
+        exec.token.as_ref(),
         || RowScratch::new(n_cols),
         |row, scratch: &mut RowScratch, indices, values, counts| {
-            gustavson_row(a, b, row, scratch, opts, indices, values, counts);
+            gustavson_row(
+                a, b, row, scratch, opts, exec.accum, indices, values, counts,
+            );
         },
     )?;
-    out.counts.flush(metrics);
-    out.flush_steals(metrics);
+    out.counts.flush(exec.metrics());
+    if record_steals {
+        out.flush_steals(exec.metrics());
+    }
     Ok(CsrMatrix::from_raw_parts_unchecked(
         n_rows,
         n_cols,
@@ -723,8 +620,7 @@ pub fn spgemm_budgeted(
     b: &CsrMatrix,
     opts: &SpgemmOptions,
     budget_nnz: usize,
-    token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
+    exec: &Exec,
 ) -> Result<BudgetedSpgemm> {
     check_dims(a, b)?;
     if budget_nnz == 0 {
@@ -734,13 +630,8 @@ pub fn spgemm_budgeted(
     }
     let estimated_nnz = spgemm_nnz_upper_bound(a, b);
     if estimated_nnz <= budget_nnz {
-        let matrix = if opts.n_threads != 1 {
-            spgemm_parallel_with_token(a, b, opts, token, metrics)?
-        } else {
-            spgemm_serial_with_token(a, b, opts, token, metrics)?
-        };
         return Ok(BudgetedSpgemm {
-            matrix,
+            matrix: spgemm(a, b, opts, exec)?,
             degraded: false,
             threshold_used: opts.threshold,
             estimated_nnz,
@@ -748,6 +639,7 @@ pub fn spgemm_budgeted(
     }
 
     // Degraded path: serial Gustavson with adaptive thresholding.
+    let metrics = exec.metrics();
     if let Some(m) = metrics {
         m.counter(metric_names::DEGRADED_FALLBACKS).inc();
     }
@@ -762,15 +654,14 @@ pub fn spgemm_budgeted(
     let mut live_opts = opts.clone();
     let mut counts = SpgemmCounts::default();
     for row in 0..n_rows {
-        if let Some(t) = token {
-            t.checkpoint()?;
-        }
+        exec.checkpoint()?;
         gustavson_row(
             a,
             b,
             row,
             &mut scratch,
             &live_opts,
+            exec.accum,
             &mut indices,
             &mut values,
             &mut counts,
@@ -840,6 +731,19 @@ mod tests {
     use super::*;
     use crate::ops::transpose;
 
+    /// An [`Exec`] on `threads` threads, everything else at the default.
+    fn on(threads: usize) -> Exec {
+        Exec {
+            threads,
+            ..Exec::default()
+        }
+    }
+
+    /// The plain serial product.
+    fn mul(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
+        spgemm(a, b, &SpgemmOptions::default(), &on(1))
+    }
+
     fn dense_mul(a: &CsrMatrix, b: &CsrMatrix) -> Vec<Vec<f64>> {
         let (n, k, m) = (a.n_rows(), a.n_cols(), b.n_cols());
         let da = a.to_dense();
@@ -862,7 +766,7 @@ mod tests {
     fn spgemm_matches_dense_reference() {
         let a = CsrMatrix::from_dense(&[vec![1.0, 2.0, 0.0], vec![0.0, 3.0, 4.0]]);
         let b = CsrMatrix::from_dense(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![2.0, 2.0]]);
-        let c = spgemm(&a, &b).unwrap();
+        let c = mul(&a, &b).unwrap();
         c.validate().unwrap();
         assert_eq!(c.to_dense(), dense_mul(&a, &b));
     }
@@ -871,15 +775,15 @@ mod tests {
     fn spgemm_identity_is_noop() {
         let a = CsrMatrix::from_dense(&[vec![1.0, 2.0], vec![3.0, 0.0]]);
         let i = CsrMatrix::identity(2);
-        assert_eq!(spgemm(&a, &i).unwrap(), a);
-        assert_eq!(spgemm(&i, &a).unwrap(), a);
+        assert_eq!(mul(&a, &i).unwrap(), a);
+        assert_eq!(mul(&i, &a).unwrap(), a);
     }
 
     #[test]
     fn spgemm_rejects_bad_dims() {
         let a = CsrMatrix::zeros(2, 3);
         let b = CsrMatrix::zeros(2, 3);
-        assert!(spgemm(&a, &b).is_err());
+        assert!(mul(&a, &b).is_err());
     }
 
     #[test]
@@ -891,7 +795,7 @@ mod tests {
             vec![0.0, 0.0, 0.0, 0.0],
             vec![0.0, 0.0, 0.0, 0.0],
         ]);
-        let b = spgemm(&a, &transpose(&a)).unwrap();
+        let b = mul(&a, &transpose(&a)).unwrap();
         assert!(b.is_symmetric(0.0));
         assert_eq!(b.get(0, 1), 2.0); // two shared out-links
         assert_eq!(b.get(0, 0), 2.0); // self-similarity = out-degree
@@ -905,8 +809,8 @@ mod tests {
             threshold: 1.2,
             ..Default::default()
         };
-        let c = spgemm_thresholded(&a, &a, &opts).unwrap();
-        let full = spgemm(&a, &a).unwrap();
+        let c = spgemm(&a, &a, &opts, &on(1)).unwrap();
+        let full = mul(&a, &a).unwrap();
         for (r, col, v) in full.iter() {
             if v.abs() >= 1.2 {
                 assert_eq!(c.get(r, col as usize), v);
@@ -923,7 +827,7 @@ mod tests {
             drop_diagonal: true,
             ..Default::default()
         };
-        let c = spgemm_thresholded(&a, &a, &opts).unwrap();
+        let c = spgemm(&a, &a, &opts, &on(1)).unwrap();
         assert_eq!(c.get(0, 0), 0.0);
         assert_eq!(c.get(1, 1), 0.0);
         assert_eq!(c.get(0, 1), 2.0);
@@ -949,12 +853,8 @@ mod tests {
     fn parallel_matches_serial() {
         // Deterministic pseudo-random matrix, large enough to split.
         let a = pseudo_random_matrix(64, 0x243F6A8885A308D3, 4);
-        let serial = spgemm(&a, &a).unwrap();
-        let opts = SpgemmOptions {
-            n_threads: 4,
-            ..Default::default()
-        };
-        let parallel = spgemm_parallel(&a, &a, &opts).unwrap();
+        let serial = mul(&a, &a).unwrap();
+        let parallel = spgemm(&a, &a, &SpgemmOptions::default(), &on(4)).unwrap();
         parallel.validate().unwrap();
         assert_eq!(serial.indptr(), parallel.indptr());
         assert_eq!(serial.indices(), parallel.indices());
@@ -968,13 +868,9 @@ mod tests {
         // Bit-identical output regardless of scheduling: the block
         // assembly is deterministic even when every block is stolen.
         let a = pseudo_random_matrix(200, 0x9E3779B97F4A7C15, 3);
-        let serial = spgemm(&a, &a).unwrap();
+        let serial = mul(&a, &a).unwrap();
         for n_threads in [2, 3, 5, 8] {
-            let opts = SpgemmOptions {
-                n_threads,
-                ..Default::default()
-            };
-            let parallel = spgemm_parallel(&a, &a, &opts).unwrap();
+            let parallel = spgemm(&a, &a, &SpgemmOptions::default(), &on(n_threads)).unwrap();
             assert_eq!(serial, parallel, "thread count {n_threads}");
         }
     }
@@ -982,12 +878,8 @@ mod tests {
     #[test]
     fn parallel_small_input_falls_back_to_serial() {
         let a = CsrMatrix::from_dense(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let opts = SpgemmOptions {
-            n_threads: 8,
-            ..Default::default()
-        };
-        let c = spgemm_parallel(&a, &a, &opts).unwrap();
-        assert_eq!(c, spgemm(&a, &a).unwrap());
+        let c = spgemm(&a, &a, &SpgemmOptions::default(), &on(8)).unwrap();
+        assert_eq!(c, mul(&a, &a).unwrap());
     }
 
     #[test]
@@ -1018,11 +910,11 @@ mod tests {
     fn steals_counter_is_recorded_for_parallel_runs() {
         let a = pseudo_random_matrix(300, 0x243F6A8885A308D3, 3);
         let m = MetricsRegistry::new();
-        let opts = SpgemmOptions {
-            n_threads: 4,
-            ..Default::default()
+        let exec = Exec {
+            metrics: Some(m.clone()),
+            ..on(4)
         };
-        spgemm_observed(&a, &a, &opts, None, Some(&m)).unwrap();
+        spgemm(&a, &a, &SpgemmOptions::default(), &exec).unwrap();
         // The steal count itself is scheduling-dependent; what is
         // guaranteed is that the counter exists after a parallel run.
         assert!(m.snapshot().counter(metric_names::SCHED_STEALS).is_some());
@@ -1033,13 +925,13 @@ mod tests {
         let a = CsrMatrix::from_dense(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let token = crate::cancel::CancelToken::new();
         token.cancel();
-        let serial = spgemm_cancellable(&a, &a, &SpgemmOptions::default(), &token);
-        assert_eq!(serial, Err(SparseError::Cancelled));
-        let opts = SpgemmOptions {
-            n_threads: 4,
-            ..Default::default()
+        let cancelled = |threads| Exec {
+            token: Some(token.clone()),
+            ..on(threads)
         };
-        let parallel = spgemm_cancellable(&a, &a, &opts, &token);
+        let serial = spgemm(&a, &a, &SpgemmOptions::default(), &cancelled(0));
+        assert_eq!(serial, Err(SparseError::Cancelled));
+        let parallel = spgemm(&a, &a, &SpgemmOptions::default(), &cancelled(4));
         assert_eq!(parallel, Err(SparseError::Cancelled));
     }
 
@@ -1049,11 +941,11 @@ mod tests {
         let a = pseudo_random_matrix(128, 0x243F6A8885A308D3, 3);
         let token = crate::cancel::CancelToken::new();
         token.cancel();
-        let opts = SpgemmOptions {
-            n_threads: 4,
-            ..Default::default()
+        let exec = Exec {
+            token: Some(token),
+            ..on(4)
         };
-        let r = spgemm_cancellable(&a, &a, &opts, &token);
+        let r = spgemm(&a, &a, &SpgemmOptions::default(), &exec);
         assert_eq!(r, Err(SparseError::Cancelled));
     }
 
@@ -1064,9 +956,12 @@ mod tests {
             vec![0.0, 3.0, 4.0],
             vec![1.0, 0.0, 1.0],
         ]);
-        let token = crate::cancel::CancelToken::new();
-        let c = spgemm_cancellable(&a, &a, &SpgemmOptions::default(), &token).unwrap();
-        assert_eq!(c, spgemm(&a, &a).unwrap());
+        let exec = Exec {
+            token: Some(crate::cancel::CancelToken::new()),
+            ..on(0)
+        };
+        let c = spgemm(&a, &a, &SpgemmOptions::default(), &exec).unwrap();
+        assert_eq!(c, mul(&a, &a).unwrap());
     }
 
     #[test]
@@ -1084,10 +979,10 @@ mod tests {
             vec![0.0, 3.0, 4.0],
             vec![1.0, 0.0, 1.0],
         ]);
-        let r = spgemm_budgeted(&a, &a, &SpgemmOptions::default(), 1_000_000, None, None).unwrap();
+        let r = spgemm_budgeted(&a, &a, &SpgemmOptions::default(), 1_000_000, &on(0)).unwrap();
         assert!(!r.degraded);
         assert_eq!(r.threshold_used, 0.0);
-        assert_eq!(r.matrix, spgemm(&a, &a).unwrap());
+        assert_eq!(r.matrix, mul(&a, &a).unwrap());
         assert!(r.estimated_nnz >= r.matrix.nnz());
     }
 
@@ -1107,7 +1002,7 @@ mod tests {
         }
         let a = CsrMatrix::from_dense(&rows);
         let budget = 64;
-        let r = spgemm_budgeted(&a, &a, &SpgemmOptions::default(), budget, None, None).unwrap();
+        let r = spgemm_budgeted(&a, &a, &SpgemmOptions::default(), budget, &on(0)).unwrap();
         assert!(r.degraded);
         assert!(r.threshold_used > 0.0);
         assert!(r.estimated_nnz > budget);
@@ -1121,13 +1016,13 @@ mod tests {
         r.matrix.validate().unwrap();
         // Every surviving entry matches the exact product and passes the
         // final threshold.
-        let exact = spgemm(&a, &a).unwrap();
+        let exact = mul(&a, &a).unwrap();
         for (row, col, v) in r.matrix.iter() {
             assert!((exact.get(row, col as usize) - v).abs() < 1e-12);
             assert!(v.abs() >= r.threshold_used);
         }
         // Degraded output is deterministic.
-        let again = spgemm_budgeted(&a, &a, &SpgemmOptions::default(), budget, None, None).unwrap();
+        let again = spgemm_budgeted(&a, &a, &SpgemmOptions::default(), budget, &on(0)).unwrap();
         assert_eq!(r.matrix, again.matrix);
     }
 
@@ -1135,11 +1030,11 @@ mod tests {
     fn observed_records_exact_work_counters() {
         let a = CsrMatrix::from_dense(&[vec![1.0, 1.0], vec![0.0, 1.0]]);
         let m = MetricsRegistry::new();
-        let opts = SpgemmOptions {
-            n_threads: 1,
-            ..Default::default()
+        let exec = Exec {
+            metrics: Some(m.clone()),
+            ..on(1)
         };
-        let c = spgemm_observed(&a, &a, &opts, None, Some(&m)).unwrap();
+        let c = spgemm(&a, &a, &SpgemmOptions::default(), &exec).unwrap();
         let snap = m.snapshot();
         assert_eq!(snap.counter(metric_names::CALLS), Some(1));
         assert_eq!(snap.counter(metric_names::ROWS), Some(2));
@@ -1159,18 +1054,17 @@ mod tests {
     #[test]
     fn parallel_observed_counters_match_serial() {
         let a = pseudo_random_matrix(64, 0x243F6A8885A308D3, 4);
-        let serial = MetricsRegistry::new();
-        let serial_opts = SpgemmOptions {
-            n_threads: 1,
-            ..Default::default()
+        let observed = |threads| {
+            let m = MetricsRegistry::new();
+            let exec = Exec {
+                metrics: Some(m.clone()),
+                ..on(threads)
+            };
+            spgemm(&a, &a, &SpgemmOptions::default(), &exec).unwrap();
+            m
         };
-        spgemm_observed(&a, &a, &serial_opts, None, Some(&serial)).unwrap();
-        let parallel = MetricsRegistry::new();
-        let parallel_opts = SpgemmOptions {
-            n_threads: 4,
-            ..Default::default()
-        };
-        spgemm_observed(&a, &a, &parallel_opts, None, Some(&parallel)).unwrap();
+        let serial = observed(1);
+        let parallel = observed(4);
         for key in [
             metric_names::ROWS,
             metric_names::FLOPS,
@@ -1201,7 +1095,11 @@ mod tests {
         }
         let a = CsrMatrix::from_dense(&rows);
         let m = MetricsRegistry::new();
-        let r = spgemm_budgeted(&a, &a, &SpgemmOptions::default(), 64, None, Some(&m)).unwrap();
+        let exec = Exec {
+            metrics: Some(m.clone()),
+            ..on(0)
+        };
+        let r = spgemm_budgeted(&a, &a, &SpgemmOptions::default(), 64, &exec).unwrap();
         assert!(r.degraded);
         let snap = m.snapshot();
         assert_eq!(snap.counter(metric_names::DEGRADED_FALLBACKS), Some(1));
@@ -1215,10 +1113,14 @@ mod tests {
     #[test]
     fn budgeted_rejects_zero_budget_and_honors_cancellation() {
         let a = CsrMatrix::from_dense(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
-        assert!(spgemm_budgeted(&a, &a, &SpgemmOptions::default(), 0, None, None).is_err());
+        assert!(spgemm_budgeted(&a, &a, &SpgemmOptions::default(), 0, &on(0)).is_err());
         let token = crate::cancel::CancelToken::new();
         token.cancel();
-        let r = spgemm_budgeted(&a, &a, &SpgemmOptions::default(), 1, Some(&token), None);
+        let exec = Exec {
+            token: Some(token),
+            ..on(0)
+        };
+        let r = spgemm_budgeted(&a, &a, &SpgemmOptions::default(), 1, &exec);
         assert_eq!(r.err(), Some(SparseError::Cancelled));
     }
 }

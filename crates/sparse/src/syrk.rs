@@ -46,13 +46,13 @@
 //! adaptive-threshold degraded fallback, and the `spgemm.*` counters plus
 //! the SYRK-specific `spgemm.syrk_calls` / `spgemm.syrk_mirrored_nnz`.
 
+use crate::accum::AccumStrategy;
 use crate::accum::{
     gather_scaled_term, reduce_pairs_terms, scatter_scaled_seen, DenseAccum, TouchStamp,
 };
-use crate::cancel::CancelToken;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
-use crate::ops::transpose;
+use crate::exec::Exec;
 use crate::spgemm::{
     compact_thresholded, emits, metric_names, raised_threshold, run_rows, spgemm_flops,
     BudgetedSpgemm, RowKernelOutput, SpgemmCounts, SpgemmOptions,
@@ -62,9 +62,9 @@ use symclust_obs::MetricsRegistry;
 
 /// One `X·Xᵀ` term of a symmetric product sum.
 ///
-/// `xt` must be the transpose of `x` — callers that already hold both
-/// factors (the symmetrizers do) pass them directly; [`spgemm_syrk`]
-/// computes the transpose itself. Only dimensions are validated: passing
+/// `xt` must be the transpose of `x`; callers that already hold both
+/// factors (the symmetrizers do) pass them directly. Only dimensions are
+/// validated: passing
 /// an `xt` that is not bitwise `transpose(x)` silently computes
 /// `upper(X·Y)` mirrored, which is not `X·Y`.
 #[derive(Debug, Clone, Copy)]
@@ -117,11 +117,13 @@ impl SyrkScratch {
 
 /// Accumulates row `row` of `Σₜ Xₜ·Xₜᵀ`, upper triangle only, and emits
 /// the surviving entries in ascending column order.
+#[allow(clippy::too_many_arguments)]
 fn syrk_row(
     terms: &[SyrkTerm<'_>],
     row: usize,
     scratch: &mut SyrkScratch,
     opts: &SpgemmOptions,
+    accum: AccumStrategy,
     indices: &mut Vec<u32>,
     values: &mut Vec<f64>,
     counts: &mut SpgemmCounts,
@@ -148,7 +150,7 @@ fn syrk_row(
         touched,
         pairs,
     } = scratch;
-    let distinct = if opts.row_is_dense(estimated_width) {
+    let distinct = if opts.row_is_dense(accum, estimated_width) {
         counts.rows_dense += 1;
         seen.begin_row();
         touched.clear();
@@ -271,55 +273,49 @@ pub(crate) fn flush_syrk(out: &RowKernelOutput, mirrored: u64, metrics: Option<&
     }
 }
 
-/// Symmetric SpGEMM: `C = X·Xᵀ`, computing the transpose internally.
-pub fn spgemm_syrk(x: &CsrMatrix, opts: &SpgemmOptions) -> Result<CsrMatrix> {
-    let xt = transpose(x);
-    spgemm_syrk_observed(x, &xt, opts, None, None)
-}
-
-/// Symmetric SpGEMM with a caller-supplied transpose, optional
-/// cancellation and optional metrics.
-pub fn spgemm_syrk_observed(
+/// Symmetric SpGEMM `C = X·Xᵀ` with a caller-supplied transpose `xt`.
+pub fn spgemm_syrk(
     x: &CsrMatrix,
     xt: &CsrMatrix,
     opts: &SpgemmOptions,
-    token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
+    exec: &Exec,
 ) -> Result<CsrMatrix> {
-    spgemm_syrk_sum_observed(&[SyrkTerm { x, xt }], opts, token, metrics)
+    spgemm_syrk_sum(&[SyrkTerm { x, xt }], opts, exec)
 }
 
 /// Fused symmetric product sum: `C = Σₜ Xₜ·Xₜᵀ` in one upper-triangle
 /// pass with per-term accumulators, thresholding the *sum* during
-/// emission (see the module docs for the bit-exactness argument).
-pub fn spgemm_syrk_sum_observed(
+/// emission (see the module docs for the bit-exactness argument). Runs
+/// per `exec` like [`crate::spgemm::spgemm`].
+pub fn spgemm_syrk_sum(
     terms: &[SyrkTerm<'_>],
     opts: &SpgemmOptions,
-    token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
+    exec: &Exec,
 ) -> Result<CsrMatrix> {
     let n = check_terms(terms)?;
-    if opts.panel.engaged() {
-        return crate::panel::spgemm_syrk_sum_panel(terms, n, opts, token, metrics);
+    if exec.panel.engaged() {
+        return crate::panel::spgemm_syrk_sum_panel(terms, n, opts, exec);
     }
     let out = run_rows(
         n,
-        opts.n_threads,
-        token,
+        exec.threads,
+        exec.token.as_ref(),
         || SyrkScratch::new(n, terms.len()),
         |row, scratch: &mut SyrkScratch, indices, values, counts| {
-            syrk_row(terms, row, scratch, opts, indices, values, counts);
+            syrk_row(
+                terms, row, scratch, opts, exec.accum, indices, values, counts,
+            );
         },
     )?;
     let (indptr, indices, values, mirrored) =
         mirror_upper(n, &out.indptr, &out.indices, &out.values);
-    flush_syrk(&out, mirrored, metrics);
+    flush_syrk(&out, mirrored, exec.metrics());
     Ok(CsrMatrix::from_raw_parts_unchecked(
         n, n, indptr, indices, values,
     ))
 }
 
-/// [`spgemm_syrk_sum_observed`] under an output-size budget, mirroring
+/// [`spgemm_syrk_sum`] under an output-size budget, mirroring
 /// the degradation contract of [`crate::spgemm::spgemm_budgeted`]: if the
 /// Gustavson bound on the *full* output fits the budget the multiply is
 /// exact (and possibly parallel); otherwise it degrades to a serial
@@ -329,8 +325,7 @@ pub fn spgemm_syrk_sum_budgeted(
     terms: &[SyrkTerm<'_>],
     opts: &SpgemmOptions,
     budget_nnz: usize,
-    token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
+    exec: &Exec,
 ) -> Result<BudgetedSpgemm> {
     let n = check_terms(terms)?;
     if budget_nnz == 0 {
@@ -340,15 +335,15 @@ pub fn spgemm_syrk_sum_budgeted(
     }
     let estimated_nnz: usize = terms.iter().map(|t| spgemm_flops(t.x, t.xt)).sum();
     if estimated_nnz <= budget_nnz {
-        let matrix = spgemm_syrk_sum_observed(terms, opts, token, metrics)?;
         return Ok(BudgetedSpgemm {
-            matrix,
+            matrix: spgemm_syrk_sum(terms, opts, exec)?,
             degraded: false,
             threshold_used: opts.threshold,
             estimated_nnz,
         });
     }
 
+    let metrics = exec.metrics();
     if let Some(m) = metrics {
         m.counter(metric_names::DEGRADED_FALLBACKS).inc();
     }
@@ -364,14 +359,13 @@ pub fn spgemm_syrk_sum_budgeted(
     let mut live_opts = opts.clone();
     let mut counts = SpgemmCounts::default();
     for row in 0..n {
-        if let Some(t) = token {
-            t.checkpoint()?;
-        }
+        exec.checkpoint()?;
         syrk_row(
             terms,
             row,
             &mut scratch,
             &live_opts,
+            exec.accum,
             &mut indices,
             &mut values,
             &mut counts,
@@ -408,8 +402,31 @@ pub fn spgemm_syrk_sum_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops;
-    use crate::spgemm::{spgemm, spgemm_observed, spgemm_thresholded};
+    use crate::cancel::CancelToken;
+    use crate::ops::{self, transpose};
+    use crate::spgemm::spgemm;
+    use symclust_obs::MetricsRegistry;
+
+    /// An [`Exec`] on `threads` threads, everything else at the default.
+    fn on(threads: usize) -> Exec {
+        Exec {
+            threads,
+            ..Exec::default()
+        }
+    }
+
+    /// `exec` recording into `m`.
+    fn observed(exec: Exec, m: &MetricsRegistry) -> Exec {
+        Exec {
+            metrics: Some(m.clone()),
+            ..exec
+        }
+    }
+
+    /// The plain serial general product.
+    fn mul(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
+        spgemm(a, b, &SpgemmOptions::default(), &on(1))
+    }
 
     fn pseudo_random_matrix(
         n_rows: usize,
@@ -436,8 +453,8 @@ mod tests {
     fn syrk_matches_general_kernel_exactly() {
         let x = pseudo_random_matrix(60, 40, 0x243F6A8885A308D3, 3);
         let xt = transpose(&x);
-        let general = spgemm(&x, &xt).unwrap();
-        let syrk = spgemm_syrk(&x, &SpgemmOptions::default()).unwrap();
+        let general = mul(&x, &xt).unwrap();
+        let syrk = spgemm_syrk(&x, &xt, &SpgemmOptions::default(), &on(0)).unwrap();
         syrk.validate().unwrap();
         assert_eq!(general, syrk);
     }
@@ -448,15 +465,15 @@ mod tests {
         let x = pseudo_random_matrix(37, 5, 0x9E3779B97F4A7C15, 5);
         let xt = transpose(&x);
         assert_eq!(
-            spgemm(&x, &xt).unwrap(),
-            spgemm_syrk(&x, &SpgemmOptions::default()).unwrap()
+            mul(&x, &xt).unwrap(),
+            spgemm_syrk(&x, &xt, &SpgemmOptions::default(), &on(0)).unwrap()
         );
     }
 
     #[test]
     fn syrk_output_is_symmetric() {
         let x = pseudo_random_matrix(50, 50, 0xB7E151628AED2A6A, 3);
-        let c = spgemm_syrk(&x, &SpgemmOptions::default()).unwrap();
+        let c = spgemm_syrk(&x, &transpose(&x), &SpgemmOptions::default(), &on(0)).unwrap();
         assert!(c.is_symmetric(0.0));
         assert_eq!(c, transpose(&c));
     }
@@ -470,8 +487,8 @@ mod tests {
             drop_diagonal: true,
             ..Default::default()
         };
-        let general = spgemm_thresholded(&x, &xt, &opts).unwrap();
-        let syrk = spgemm_syrk_observed(&x, &xt, &opts, None, None).unwrap();
+        let general = spgemm(&x, &xt, &opts, &on(1)).unwrap();
+        let syrk = spgemm_syrk(&x, &xt, &opts, &on(0)).unwrap();
         assert_eq!(general, syrk);
     }
 
@@ -480,12 +497,11 @@ mod tests {
         let x = pseudo_random_matrix(40, 30, 0x243F6A8885A308D3, 3);
         let y = pseudo_random_matrix(40, 25, 0x9E3779B97F4A7C15, 3);
         let (xt, yt) = (transpose(&x), transpose(&y));
-        let separate = ops::add(&spgemm(&x, &xt).unwrap(), &spgemm(&y, &yt).unwrap()).unwrap();
-        let fused = spgemm_syrk_sum_observed(
+        let separate = ops::add(&mul(&x, &xt).unwrap(), &mul(&y, &yt).unwrap()).unwrap();
+        let fused = spgemm_syrk_sum(
             &[SyrkTerm { x: &x, xt: &xt }, SyrkTerm { x: &y, xt: &yt }],
             &SpgemmOptions::default(),
-            None,
-            None,
+            &on(0),
         )
         .unwrap();
         assert_eq!(separate, fused);
@@ -500,13 +516,12 @@ mod tests {
         let terms = [SyrkTerm { x: &x, xt: &xt }, SyrkTerm { x: &y, xt: &yt }];
         let run = |accum, crossover| {
             let opts = SpgemmOptions {
-                accum,
                 accum_crossover: crossover,
                 drop_diagonal: true,
                 threshold: 0.5,
-                ..Default::default()
             };
-            spgemm_syrk_sum_observed(&terms, &opts, None, None).unwrap()
+            let exec = Exec { accum, ..on(0) };
+            spgemm_syrk_sum(&terms, &opts, &exec).unwrap()
         };
         let dense = run(AccumStrategy::Dense, None);
         let sparse = run(AccumStrategy::Sparse, None);
@@ -537,12 +552,14 @@ mod tests {
         let count = |n_threads| {
             let m = MetricsRegistry::new();
             let opts = SpgemmOptions {
-                accum: AccumStrategy::Adaptive,
                 accum_crossover: Some(64),
-                n_threads,
                 ..Default::default()
             };
-            spgemm_syrk_observed(&x, &xt, &opts, None, Some(&m)).unwrap();
+            let exec = Exec {
+                accum: AccumStrategy::Adaptive,
+                ..on(n_threads)
+            };
+            spgemm_syrk(&x, &xt, &opts, &observed(exec, &m)).unwrap();
             let snap = m.snapshot();
             (
                 snap.counter(metric_names::ROWS_DENSE).unwrap(),
@@ -561,17 +578,10 @@ mod tests {
     fn syrk_parallel_is_identical_across_thread_counts() {
         let x = pseudo_random_matrix(300, 200, 0x243F6A8885A308D3, 4);
         let xt = transpose(&x);
-        let serial_opts = SpgemmOptions {
-            n_threads: 1,
-            ..Default::default()
-        };
-        let serial = spgemm_syrk_observed(&x, &xt, &serial_opts, None, None).unwrap();
+        let opts = SpgemmOptions::default();
+        let serial = spgemm_syrk(&x, &xt, &opts, &on(1)).unwrap();
         for n_threads in [2, 3, 8] {
-            let opts = SpgemmOptions {
-                n_threads,
-                ..Default::default()
-            };
-            let parallel = spgemm_syrk_observed(&x, &xt, &opts, None, None).unwrap();
+            let parallel = spgemm_syrk(&x, &xt, &opts, &on(n_threads)).unwrap();
             assert_eq!(serial, parallel, "thread count {n_threads}");
         }
     }
@@ -581,13 +591,10 @@ mod tests {
         let x = pseudo_random_matrix(64, 64, 0x243F6A8885A308D3, 3);
         let xt = transpose(&x);
         let general = MetricsRegistry::new();
-        let serial = SpgemmOptions {
-            n_threads: 1,
-            ..Default::default()
-        };
-        spgemm_observed(&x, &xt, &serial, None, Some(&general)).unwrap();
+        let opts = SpgemmOptions::default();
+        spgemm(&x, &xt, &opts, &observed(on(1), &general)).unwrap();
         let syrk = MetricsRegistry::new();
-        let c = spgemm_syrk_observed(&x, &xt, &serial, None, Some(&syrk)).unwrap();
+        let c = spgemm_syrk(&x, &xt, &opts, &observed(on(1), &syrk)).unwrap();
         let gsnap = general.snapshot();
         let ssnap = syrk.snapshot();
         let gflops = gsnap.counter(metric_names::FLOPS).unwrap();
@@ -606,10 +613,10 @@ mod tests {
 
     #[test]
     fn syrk_rejects_empty_terms_and_bad_dims() {
-        assert!(spgemm_syrk_sum_observed(&[], &SpgemmOptions::default(), None, None).is_err());
+        assert!(spgemm_syrk_sum(&[], &SpgemmOptions::default(), &on(0)).is_err());
         let x = CsrMatrix::zeros(3, 4);
         let bad_xt = CsrMatrix::zeros(4, 5); // n_cols != x.n_rows
-        let r = spgemm_syrk_observed(&x, &bad_xt, &SpgemmOptions::default(), None, None);
+        let r = spgemm_syrk(&x, &bad_xt, &SpgemmOptions::default(), &on(0));
         assert!(r.is_err());
     }
 
@@ -620,11 +627,11 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for n_threads in [1, 4] {
-            let opts = SpgemmOptions {
-                n_threads,
-                ..Default::default()
+            let exec = Exec {
+                token: Some(token.clone()),
+                ..on(n_threads)
             };
-            let r = spgemm_syrk_observed(&x, &xt, &opts, Some(&token), None);
+            let r = spgemm_syrk(&x, &xt, &SpgemmOptions::default(), &exec);
             assert_eq!(r, Err(SparseError::Cancelled));
         }
     }
@@ -637,12 +644,11 @@ mod tests {
             &[SyrkTerm { x: &x, xt: &xt }],
             &SpgemmOptions::default(),
             1_000_000,
-            None,
-            None,
+            &on(0),
         )
         .unwrap();
         assert!(!r.degraded);
-        assert_eq!(r.matrix, spgemm(&x, &xt).unwrap());
+        assert_eq!(r.matrix, mul(&x, &xt).unwrap());
     }
 
     #[test]
@@ -652,14 +658,19 @@ mod tests {
         let terms = [SyrkTerm { x: &x, xt: &xt }];
         let budget = 120;
         let m = MetricsRegistry::new();
-        let r = spgemm_syrk_sum_budgeted(&terms, &SpgemmOptions::default(), budget, None, Some(&m))
-            .unwrap();
+        let r = spgemm_syrk_sum_budgeted(
+            &terms,
+            &SpgemmOptions::default(),
+            budget,
+            &observed(on(0), &m),
+        )
+        .unwrap();
         assert!(r.degraded);
         assert!(r.threshold_used > 0.0);
         r.matrix.validate().unwrap();
         assert!(r.matrix.is_symmetric(0.0));
         // Every surviving entry matches the exact product.
-        let exact = spgemm(&x, &xt).unwrap();
+        let exact = mul(&x, &xt).unwrap();
         for (row, col, v) in r.matrix.iter() {
             assert_eq!(exact.get(row, col as usize), v);
             assert!(v.abs() >= r.threshold_used);
@@ -668,8 +679,8 @@ mod tests {
         assert_eq!(snap.counter(metric_names::DEGRADED_FALLBACKS), Some(1));
         assert!(snap.counter(metric_names::BUDGET_COMPACTIONS).unwrap() > 0);
         // Deterministic.
-        let again = spgemm_syrk_sum_budgeted(&terms, &SpgemmOptions::default(), budget, None, None)
-            .unwrap();
+        let again =
+            spgemm_syrk_sum_budgeted(&terms, &SpgemmOptions::default(), budget, &on(0)).unwrap();
         assert_eq!(r.matrix, again.matrix);
     }
 
@@ -682,8 +693,8 @@ mod tests {
             drop_diagonal: true,
             ..Default::default()
         };
-        let general = spgemm_thresholded(&x, &xt, &opts).unwrap();
-        let syrk = spgemm_syrk_observed(&x, &xt, &opts, None, None).unwrap();
+        let general = spgemm(&x, &xt, &opts, &on(1)).unwrap();
+        let syrk = spgemm_syrk(&x, &xt, &opts, &on(0)).unwrap();
         assert_eq!(general, syrk);
     }
 }

@@ -18,8 +18,8 @@ use symclust_obs::MetricsRegistry;
 use symclust_sparse::ops::transpose;
 use symclust_sparse::spgemm::metric_names;
 use symclust_sparse::{
-    spgemm_budgeted, spgemm_observed, spgemm_syrk_sum_budgeted, spgemm_syrk_sum_observed,
-    AccumStrategy, CsrMatrix, SpgemmOptions, SyrkTerm,
+    spgemm, spgemm_budgeted, spgemm_syrk_sum, spgemm_syrk_sum_budgeted, AccumStrategy, CsrMatrix,
+    Exec, SpgemmOptions, SyrkTerm,
 };
 
 /// Minimal deterministic generator: Knuth's 64-bit LCG constants.
@@ -65,11 +65,19 @@ const SEEDS: [u64; 4] = [
 
 const CROSSOVERS: [usize; 4] = [1, 16, 64, 100_000];
 
-fn opts(accum: AccumStrategy, crossover: Option<usize>) -> SpgemmOptions {
+fn opts(crossover: Option<usize>) -> SpgemmOptions {
     SpgemmOptions {
-        accum,
         accum_crossover: crossover,
         ..Default::default()
+    }
+}
+
+/// Strategy `accum` on `threads` threads (`0` = all cores).
+fn exec(accum: AccumStrategy, threads: usize) -> Exec {
+    Exec {
+        accum,
+        threads,
+        ..Exec::default()
     }
 }
 
@@ -78,17 +86,15 @@ fn general_kernel_strategies_are_bitwise_identical() {
     for &seed in &SEEDS {
         let a = skewed_matrix(72, 64, seed);
         let b = skewed_matrix(64, 56, seed ^ 0xDEADBEEF);
-        let dense = spgemm_observed(&a, &b, &opts(AccumStrategy::Dense, None), None, None).unwrap();
-        let sparse =
-            spgemm_observed(&a, &b, &opts(AccumStrategy::Sparse, None), None, None).unwrap();
+        let dense = spgemm(&a, &b, &opts(None), &exec(AccumStrategy::Dense, 0)).unwrap();
+        let sparse = spgemm(&a, &b, &opts(None), &exec(AccumStrategy::Sparse, 0)).unwrap();
         assert_eq!(dense, sparse, "seed {seed:#x}");
         for crossover in CROSSOVERS {
-            let adaptive = spgemm_observed(
+            let adaptive = spgemm(
                 &a,
                 &b,
-                &opts(AccumStrategy::Adaptive, Some(crossover)),
-                None,
-                None,
+                &opts(Some(crossover)),
+                &exec(AccumStrategy::Adaptive, 0),
             )
             .unwrap();
             assert_eq!(dense, adaptive, "seed {seed:#x} crossover {crossover}");
@@ -107,11 +113,9 @@ fn threshold_and_drop_diagonal_are_strategy_independent() {
                     let o = SpgemmOptions {
                         threshold,
                         drop_diagonal,
-                        accum,
                         accum_crossover: crossover,
-                        ..Default::default()
                     };
-                    spgemm_observed(&a, &at, &o, None, None).unwrap()
+                    spgemm(&a, &at, &o, &exec(accum, 0)).unwrap()
                 };
                 let dense = run(AccumStrategy::Dense, None);
                 assert_eq!(
@@ -137,11 +141,9 @@ fn fused_syrk_sum_strategies_are_bitwise_identical() {
                 let o = SpgemmOptions {
                     threshold,
                     drop_diagonal: true,
-                    accum,
                     accum_crossover: crossover,
-                    ..Default::default()
                 };
-                spgemm_syrk_sum_observed(&terms, &o, None, None).unwrap()
+                spgemm_syrk_sum(&terms, &o, &exec(accum, 0)).unwrap()
             };
             let dense = run(AccumStrategy::Dense, None);
             assert_eq!(
@@ -159,15 +161,14 @@ fn fused_syrk_sum_strategies_are_bitwise_identical() {
 #[test]
 fn strategies_match_across_thread_counts() {
     let a = skewed_matrix(160, 160, SEEDS[0]);
-    let reference = spgemm_observed(
+    let reference = spgemm(
         &a,
         &a,
-        &SpgemmOptions {
-            n_threads: 1,
-            ..Default::default()
+        &SpgemmOptions::default(),
+        &Exec {
+            threads: 1,
+            ..Exec::default()
         },
-        None,
-        None,
     )
     .unwrap();
     for accum in [
@@ -176,13 +177,7 @@ fn strategies_match_across_thread_counts() {
         AccumStrategy::Adaptive,
     ] {
         for n_threads in [1, 2, 4] {
-            let o = SpgemmOptions {
-                accum,
-                accum_crossover: Some(32),
-                n_threads,
-                ..Default::default()
-            };
-            let c = spgemm_observed(&a, &a, &o, None, None).unwrap();
+            let c = spgemm(&a, &a, &opts(Some(32)), &exec(accum, n_threads)).unwrap();
             assert_eq!(reference, c, "{} x {n_threads} threads", accum.name());
         }
     }
@@ -194,7 +189,7 @@ fn budget_degraded_paths_are_strategy_independent() {
     let at = transpose(&a);
     let budget = 200;
     let general_run = |accum| {
-        let r = spgemm_budgeted(&a, &at, &opts(accum, Some(16)), budget, None, None).unwrap();
+        let r = spgemm_budgeted(&a, &at, &opts(Some(16)), budget, &exec(accum, 0)).unwrap();
         assert!(r.degraded, "budget {budget} should force degradation");
         r.matrix
     };
@@ -204,8 +199,7 @@ fn budget_degraded_paths_are_strategy_independent() {
 
     let terms = [SyrkTerm { x: &a, xt: &at }];
     let syrk_run = |accum| {
-        let r =
-            spgemm_syrk_sum_budgeted(&terms, &opts(accum, Some(16)), budget, None, None).unwrap();
+        let r = spgemm_syrk_sum_budgeted(&terms, &opts(Some(16)), budget, &exec(accum, 0)).unwrap();
         assert!(r.degraded);
         r.matrix
     };
@@ -220,13 +214,11 @@ fn row_strategy_counters_are_deterministic_and_exhaustive() {
         let a = skewed_matrix(96, 96, seed);
         let count = |n_threads| {
             let m = MetricsRegistry::new();
-            let o = SpgemmOptions {
-                accum: AccumStrategy::Adaptive,
-                accum_crossover: Some(64),
-                n_threads,
-                ..Default::default()
+            let observed = Exec {
+                metrics: Some(m.clone()),
+                ..exec(AccumStrategy::Adaptive, n_threads)
             };
-            spgemm_observed(&a, &a, &o, None, Some(&m)).unwrap();
+            spgemm(&a, &a, &opts(Some(64)), &observed).unwrap();
             let snap = m.snapshot();
             (
                 snap.counter(metric_names::ROWS_DENSE).unwrap_or(0),
@@ -254,7 +246,11 @@ fn forced_strategies_count_all_rows_on_one_side() {
     let a = skewed_matrix(48, 48, SEEDS[2]);
     for (accum, expect_dense) in [(AccumStrategy::Dense, true), (AccumStrategy::Sparse, false)] {
         let m = MetricsRegistry::new();
-        spgemm_observed(&a, &a, &opts(accum, None), None, Some(&m)).unwrap();
+        let observed = Exec {
+            metrics: Some(m.clone()),
+            ..exec(accum, 0)
+        };
+        spgemm(&a, &a, &opts(None), &observed).unwrap();
         let snap = m.snapshot();
         let d = snap.counter(metric_names::ROWS_DENSE).unwrap_or(0);
         let s = snap.counter(metric_names::ROWS_SPARSE).unwrap_or(0);

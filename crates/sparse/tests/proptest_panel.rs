@@ -16,8 +16,8 @@ use symclust_obs::MetricsRegistry;
 use symclust_sparse::ops::transpose;
 use symclust_sparse::spgemm::metric_names;
 use symclust_sparse::{
-    spgemm_observed, spgemm_syrk_sum_observed, CancelToken, CsrMatrix, PanelPlan, SparseError,
-    SpgemmOptions, SyrkTerm,
+    spgemm, spgemm_syrk_sum, CancelToken, CsrMatrix, Exec, PanelPlan, SparseError, SpgemmOptions,
+    SyrkTerm,
 };
 
 /// Minimal deterministic generator: Knuth's 64-bit LCG constants.
@@ -66,22 +66,28 @@ const BUDGETS: [Option<usize>; 3] = [Some(1), Some(100_000_000), None];
 /// True in-memory baseline: pins the plan to disengaged so the reference
 /// stays the classic kernels even when `SYMCLUST_PANEL_ROWS` is exported
 /// (as the CI oom-matrix stage does).
-fn baseline_opts() -> SpgemmOptions {
-    SpgemmOptions {
+fn baseline_exec() -> Exec {
+    Exec {
+        threads: 0,
         panel: PanelPlan::default(),
-        ..Default::default()
+        ..Exec::default()
     }
 }
 
-fn panel_opts(panel_rows: usize, budget: Option<usize>) -> SpgemmOptions {
-    SpgemmOptions {
+fn panel_exec(panel_rows: usize, budget: Option<usize>) -> Exec {
+    Exec {
+        threads: 0,
         panel: PanelPlan {
             panel_rows: Some(panel_rows),
             spill_dir: None,
             budget_bytes: budget,
         },
-        ..Default::default()
+        ..Exec::default()
     }
+}
+
+fn mul(a: &CsrMatrix, b: &CsrMatrix, exec: &Exec) -> CsrMatrix {
+    spgemm(a, b, &SpgemmOptions::default(), exec).unwrap()
 }
 
 #[test]
@@ -89,13 +95,13 @@ fn general_kernel_panel_matches_in_memory_across_sizes_and_budgets() {
     for &seed in &SEEDS {
         let a = skewed_matrix(72, 64, seed);
         let b = skewed_matrix(64, 56, seed ^ 0xDEADBEEF);
-        let reference = spgemm_observed(&a, &b, &baseline_opts(), None, None).unwrap();
+        let reference = mul(&a, &b, &baseline_exec());
         for panel_rows in PANEL_ROWS {
             for budget in BUDGETS {
                 for n_threads in [1, 4] {
-                    let mut o = panel_opts(panel_rows, budget);
-                    o.n_threads = n_threads;
-                    let c = spgemm_observed(&a, &b, &o, None, None).unwrap();
+                    let mut e = panel_exec(panel_rows, budget);
+                    e.threads = n_threads;
+                    let c = mul(&a, &b, &e);
                     assert_eq!(
                         reference, c,
                         "seed {seed:#x} panel_rows {panel_rows} budget {budget:?} \
@@ -116,17 +122,17 @@ fn syrk_sum_panel_matches_in_memory_across_thresholds() {
         let terms = [SyrkTerm { x: &x, xt: &xt }, SyrkTerm { x: &y, xt: &yt }];
         for threshold in [0.0, 0.5] {
             for drop_diagonal in [false, true] {
-                let mut base = baseline_opts();
-                base.threshold = threshold;
-                base.drop_diagonal = drop_diagonal;
-                let reference = spgemm_syrk_sum_observed(&terms, &base, None, None).unwrap();
+                let o = SpgemmOptions {
+                    threshold,
+                    drop_diagonal,
+                    ..Default::default()
+                };
+                let reference = spgemm_syrk_sum(&terms, &o, &baseline_exec()).unwrap();
                 for panel_rows in PANEL_ROWS {
                     for budget in [Some(1), None] {
-                        let mut o = panel_opts(panel_rows, budget);
-                        o.threshold = threshold;
-                        o.drop_diagonal = drop_diagonal;
-                        o.n_threads = 4;
-                        let c = spgemm_syrk_sum_observed(&terms, &o, None, None).unwrap();
+                        let mut e = panel_exec(panel_rows, budget);
+                        e.threads = 4;
+                        let c = spgemm_syrk_sum(&terms, &o, &e).unwrap();
                         assert_eq!(
                             reference, c,
                             "seed {seed:#x} threshold {threshold} drop {drop_diagonal} \
@@ -155,9 +161,13 @@ fn work_and_panel_counters_are_scheduling_independent() {
         metric_names::ROWS_SPARSE,
     ];
     let a = skewed_matrix(96, 96, SEEDS[0]);
-    let run = |opts: &SpgemmOptions| {
+    let run = |exec: &Exec| {
         let m = MetricsRegistry::new();
-        spgemm_observed(&a, &a, opts, None, Some(&m)).unwrap();
+        let observed = Exec {
+            metrics: Some(m.clone()),
+            ..exec.clone()
+        };
+        mul(&a, &a, &observed);
         let snap = m.snapshot();
         let work: Vec<u64> = WORK_KEYS
             .iter()
@@ -170,13 +180,13 @@ fn work_and_panel_counters_are_scheduling_independent() {
         );
         (work, panel)
     };
-    let (mem_work, mem_panel) = run(&baseline_opts());
+    let (mem_work, mem_panel) = run(&baseline_exec());
     assert_eq!(mem_panel, (0, 0, 0), "in-memory run must report no tiles");
     for budget in [Some(1), None] {
-        let mut serial = panel_opts(7, budget);
-        serial.n_threads = 1;
-        let mut parallel = panel_opts(7, budget);
-        parallel.n_threads = 4;
+        let mut serial = panel_exec(7, budget);
+        serial.threads = 1;
+        let mut parallel = panel_exec(7, budget);
+        parallel.threads = 4;
         let (ser_work, ser_panel) = run(&serial);
         let (par_work, par_panel) = run(&parallel);
         assert_eq!(
@@ -232,15 +242,15 @@ fn assert_empty_and_remove(base: &std::path::Path, when: &str) {
     std::fs::remove_dir_all(base).ok();
 }
 
-fn spilling_opts(base: &std::path::Path, n_threads: usize) -> SpgemmOptions {
-    SpgemmOptions {
-        n_threads,
+fn spilling_exec(base: &std::path::Path, n_threads: usize) -> Exec {
+    Exec {
+        threads: n_threads,
         panel: PanelPlan {
             panel_rows: Some(4),
             spill_dir: Some(base.to_path_buf()),
             budget_bytes: Some(1),
         },
-        ..Default::default()
+        ..Exec::default()
     }
 }
 
@@ -249,7 +259,7 @@ fn spill_files_are_removed_on_success() {
     let base = scratch_base("success");
     let a = skewed_matrix(64, 64, SEEDS[1]);
     for n_threads in [1, 4] {
-        spgemm_observed(&a, &a, &spilling_opts(&base, n_threads), None, None).unwrap();
+        mul(&a, &a, &spilling_exec(&base, n_threads));
     }
     assert_empty_and_remove(&base, "after successful multiplies");
 }
@@ -267,7 +277,11 @@ fn spill_files_are_removed_on_cancellation() {
     let token = CancelToken::new();
     token.cancel();
     for n_threads in [1, 4] {
-        let r = spgemm_observed(&a, &a, &spilling_opts(&base, n_threads), Some(&token), None);
+        let exec = Exec {
+            token: Some(token.clone()),
+            ..spilling_exec(&base, n_threads)
+        };
+        let r = spgemm(&a, &a, &SpgemmOptions::default(), &exec);
         assert_eq!(r, Err(SparseError::Cancelled), "{n_threads} threads");
     }
     assert_empty_and_remove(&base, "after cancelled multiplies");

@@ -1,7 +1,23 @@
 //! Property-based tests for the sparse-matrix substrate.
 
 use proptest::prelude::*;
-use symclust_sparse::{ops, spgemm, spgemm_parallel, CooMatrix, CsrMatrix, SpgemmOptions};
+use symclust_sparse::{ops, spgemm, CooMatrix, CsrMatrix, Exec, SpgemmOptions};
+
+/// The serial plain product's execution context.
+fn serial() -> Exec {
+    Exec {
+        threads: 1,
+        ..Exec::default()
+    }
+}
+
+/// `threads` worker threads (`0` = all cores).
+fn on(threads: usize) -> Exec {
+    Exec {
+        threads,
+        ..Exec::default()
+    }
+}
 
 /// Strategy: a random sparse matrix given as dimensions plus triplets.
 fn sparse_matrix(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix> {
@@ -74,7 +90,7 @@ proptest! {
             let t = ops::transpose(&a);
             (a, t)
         };
-        let c = spgemm(&a, &b).unwrap();
+        let c = spgemm(&a, &b, &SpgemmOptions::default(), &serial()).unwrap();
         prop_assert!(c.validate().is_ok());
         let expected = dense_mul(&a, &b);
         for (i, exp_row) in expected.iter().enumerate() {
@@ -88,9 +104,8 @@ proptest! {
     #[test]
     fn parallel_spgemm_matches_serial(a in square_matrix(24, 150)) {
         let b = ops::transpose(&a);
-        let serial = spgemm(&a, &b).unwrap();
-        let opts = SpgemmOptions { n_threads: 3, ..Default::default() };
-        let parallel = spgemm_parallel(&a, &b, &opts).unwrap();
+        let serial = spgemm(&a, &b, &SpgemmOptions::default(), &serial()).unwrap();
+        let parallel = spgemm(&a, &b, &SpgemmOptions::default(), &on(3)).unwrap();
         prop_assert_eq!(serial.indptr(), parallel.indptr());
         prop_assert_eq!(serial.indices(), parallel.indices());
         for (x, y) in serial.values().iter().zip(parallel.values()) {
@@ -101,7 +116,7 @@ proptest! {
     #[test]
     fn aat_is_symmetric_psd_diag(a in square_matrix(20, 100)) {
         let t = ops::transpose(&a);
-        let b = spgemm(&a, &t).unwrap();
+        let b = spgemm(&a, &t, &SpgemmOptions::default(), &serial()).unwrap();
         prop_assert!(b.is_symmetric(1e-9));
         // Diagonal of A·Aᵀ is a sum of squares.
         for i in 0..b.n_rows() {

@@ -10,9 +10,24 @@
 
 use symclust_sparse::ops::transpose;
 use symclust_sparse::{
-    spgemm, spgemm_observed, spgemm_syrk_observed, spgemm_syrk_sum_observed, CsrMatrix,
-    SpgemmOptions, SyrkTerm,
+    spgemm, spgemm_syrk, spgemm_syrk_sum, CsrMatrix, Exec, SpgemmOptions, SyrkTerm,
 };
+
+/// The serial plain product's execution context.
+fn serial() -> Exec {
+    Exec {
+        threads: 1,
+        ..Exec::default()
+    }
+}
+
+/// `threads` worker threads (`0` = all cores).
+fn on(threads: usize) -> Exec {
+    Exec {
+        threads,
+        ..Exec::default()
+    }
+}
 
 /// Minimal deterministic generator: Knuth's 64-bit LCG constants.
 struct Lcg(u64);
@@ -67,8 +82,8 @@ fn syrk_equals_general_product_with_transpose() {
     for (case, &seed) in SEEDS.iter().enumerate() {
         let x = hub_matrix(80, 50, seed);
         let xt = transpose(&x);
-        let general = spgemm(&x, &xt).unwrap();
-        let syrk = spgemm_syrk_observed(&x, &xt, &SpgemmOptions::default(), None, None).unwrap();
+        let general = spgemm(&x, &xt, &SpgemmOptions::default(), &serial()).unwrap();
+        let syrk = spgemm_syrk(&x, &xt, &SpgemmOptions::default(), &on(0)).unwrap();
         syrk.validate().unwrap();
         assert_eq!(general, syrk, "case {case}");
     }
@@ -79,7 +94,7 @@ fn syrk_output_is_exactly_symmetric() {
     for &seed in &SEEDS {
         let x = hub_matrix(70, 70, seed);
         let xt = transpose(&x);
-        let c = spgemm_syrk_observed(&x, &xt, &SpgemmOptions::default(), None, None).unwrap();
+        let c = spgemm_syrk(&x, &xt, &SpgemmOptions::default(), &on(0)).unwrap();
         assert_eq!(c, transpose(&c));
     }
 }
@@ -88,13 +103,9 @@ fn syrk_output_is_exactly_symmetric() {
 fn parallel_general_kernel_matches_serial_across_thread_counts() {
     for &seed in &SEEDS[..2] {
         let a = hub_matrix(200, 200, seed);
-        let serial = spgemm(&a, &a).unwrap();
+        let serial = spgemm(&a, &a, &SpgemmOptions::default(), &serial()).unwrap();
         for n_threads in [2, 3, 4, 8] {
-            let opts = SpgemmOptions {
-                n_threads,
-                ..Default::default()
-            };
-            let parallel = spgemm_observed(&a, &a, &opts, None, None).unwrap();
+            let parallel = spgemm(&a, &a, &SpgemmOptions::default(), &on(n_threads)).unwrap();
             assert_eq!(serial, parallel, "seed {seed:#x} threads {n_threads}");
         }
     }
@@ -105,17 +116,10 @@ fn parallel_syrk_matches_serial_across_thread_counts() {
     for &seed in &SEEDS[..2] {
         let x = hub_matrix(220, 140, seed);
         let xt = transpose(&x);
-        let serial_opts = SpgemmOptions {
-            n_threads: 1,
-            ..Default::default()
-        };
-        let serial = spgemm_syrk_observed(&x, &xt, &serial_opts, None, None).unwrap();
+        let opts = SpgemmOptions::default();
+        let serial = spgemm_syrk(&x, &xt, &opts, &on(1)).unwrap();
         for n_threads in [2, 3, 4, 8] {
-            let opts = SpgemmOptions {
-                n_threads,
-                ..Default::default()
-            };
-            let parallel = spgemm_syrk_observed(&x, &xt, &opts, None, None).unwrap();
+            let parallel = spgemm_syrk(&x, &xt, &opts, &on(n_threads)).unwrap();
             assert_eq!(serial, parallel, "seed {seed:#x} threads {n_threads}");
         }
     }
@@ -131,11 +135,10 @@ fn threshold_and_drop_diagonal_match_general_kernel_on_hub_graphs() {
                 let opts = SpgemmOptions {
                     threshold,
                     drop_diagonal,
-                    n_threads: 1,
                     ..Default::default()
                 };
-                let general = spgemm_observed(&x, &xt, &opts, None, None).unwrap();
-                let syrk = spgemm_syrk_observed(&x, &xt, &opts, None, None).unwrap();
+                let general = spgemm(&x, &xt, &opts, &on(1)).unwrap();
+                let syrk = spgemm_syrk(&x, &xt, &opts, &on(1)).unwrap();
                 assert_eq!(
                     general, syrk,
                     "seed {seed:#x} threshold {threshold} drop_diagonal {drop_diagonal}"
@@ -151,19 +154,16 @@ fn fused_two_term_sum_matches_separate_products() {
         let x = hub_matrix(60, 40, seed);
         let y = hub_matrix(60, 35, seed ^ 0xFFFF_FFFF);
         let (xt, yt) = (transpose(&x), transpose(&y));
-        let separate =
-            symclust_sparse::ops::add(&spgemm(&x, &xt).unwrap(), &spgemm(&y, &yt).unwrap())
-                .unwrap();
+        let separate = symclust_sparse::ops::add(
+            &spgemm(&x, &xt, &SpgemmOptions::default(), &serial()).unwrap(),
+            &spgemm(&y, &yt, &SpgemmOptions::default(), &serial()).unwrap(),
+        )
+        .unwrap();
         for n_threads in [1, 4] {
-            let opts = SpgemmOptions {
-                n_threads,
-                ..Default::default()
-            };
-            let fused = spgemm_syrk_sum_observed(
+            let fused = spgemm_syrk_sum(
                 &[SyrkTerm { x: &x, xt: &xt }, SyrkTerm { x: &y, xt: &yt }],
-                &opts,
-                None,
-                None,
+                &SpgemmOptions::default(),
+                &on(n_threads),
             )
             .unwrap();
             assert_eq!(separate, fused, "seed {seed:#x} threads {n_threads}");

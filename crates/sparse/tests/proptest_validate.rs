@@ -17,8 +17,16 @@
 
 use proptest::prelude::*;
 use symclust_sparse::{
-    ops, spgemm, spgemm_syrk, validate_parts, CooMatrix, CsrMatrix, SpgemmOptions,
+    ops, spgemm, spgemm_syrk, validate_parts, CooMatrix, CsrMatrix, Exec, SpgemmOptions,
 };
+
+/// The serial plain product's execution context.
+fn serial() -> Exec {
+    Exec {
+        threads: 1,
+        ..Exec::default()
+    }
+}
 
 /// Random sparse matrix with signed values (Laplacian-like inputs).
 fn sparse_matrix(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix> {
@@ -64,7 +72,7 @@ proptest! {
     #[test]
     fn spgemm_output_validates(a in graph_matrix(18, 70)) {
         let t = ops::transpose(&a);
-        let c = spgemm(&a, &t).expect("compatible shapes");
+        let c = spgemm(&a, &t, &SpgemmOptions::default(), &serial()).expect("compatible shapes");
         prop_assert!(c.validate().is_ok());
         prop_assert!(c.validate_graph().is_ok());
     }
@@ -74,7 +82,12 @@ proptest! {
         // X·Xᵀ through the upper-triangle + mirror kernel must satisfy the
         // strictest validator: structure, non-negativity (entries are sums
         // of products of non-negatives), and bitwise mirror equality.
-        let c = spgemm_syrk(&a, &SpgemmOptions::default()).expect("syrk");
+        let on_all_cores = Exec {
+            threads: 0,
+            ..Exec::default()
+        };
+        let c = spgemm_syrk(&a, &ops::transpose(&a), &SpgemmOptions::default(), &on_all_cores)
+            .expect("syrk");
         prop_assert!(c.validate_symmetric().is_ok());
     }
 

@@ -21,8 +21,7 @@ use symclust_cluster::Clustering;
 use symclust_engine::fingerprint::stage_key;
 use symclust_engine::{ArtifactCache, Clusterer, SymMethod};
 use symclust_graph::{DiGraph, UnGraph};
-use symclust_obs::MetricsRegistry;
-use symclust_sparse::{CancelToken, CsrMatrix};
+use symclust_sparse::{CsrMatrix, Exec};
 
 use crate::codec::Artifact;
 use crate::disk::DiskStore;
@@ -140,20 +139,20 @@ pub fn cluster_key(sym_key: u64, clusterer: &Clusterer) -> u64 {
 
 /// Symmetrizes `g` with `method` through the tiered cache. On any hit
 /// ([`Tier::is_hit`]) no kernel runs — in particular `spgemm.calls` stays
-/// untouched for the similarity methods. Returns the symmetrized
-/// adjacency, the tier that served it, and the artifact key.
+/// untouched for the similarity methods. A miss runs the kernels under
+/// `exec`. Returns the symmetrized adjacency, the tier that served it,
+/// and the artifact key.
 pub fn symmetrize_cached(
     cache: &TieredCache<CsrMatrix>,
     g: &DiGraph,
     graph_fp: u64,
     method: &SymMethod,
     nnz_budget: Option<usize>,
-    token: &CancelToken,
-    metrics: Option<&MetricsRegistry>,
+    exec: &Exec,
 ) -> symclust_core::Result<(Arc<CsrMatrix>, Tier, u64)> {
     let key = symmetrize_key(graph_fp, method, nnz_budget);
     let (matrix, tier) = cache.get_or_compute(key, || -> symclust_core::Result<CsrMatrix> {
-        let sym = method.symmetrize_observed_with_budget(g, token, nnz_budget, metrics)?;
+        let sym = method.build(nnz_budget).symmetrize(g, exec)?;
         Ok(sym.into_graph().into_adjacency())
     })?;
     Ok((matrix, tier, key))
@@ -161,18 +160,18 @@ pub fn symmetrize_cached(
 
 /// Clusters the symmetrized graph `sym` (whose artifact key is
 /// `sym_key`) with `clusterer` through the tiered cache. `sym` is only
-/// consulted on a full miss; hits run no clustering kernel.
+/// consulted on a full miss, which runs the clusterer under `exec`; hits
+/// run no clustering kernel.
 pub fn cluster_cached(
     cache: &TieredCache<Clustering>,
     sym: &UnGraph,
     sym_key: u64,
     clusterer: &Clusterer,
-    token: &CancelToken,
-    metrics: Option<&MetricsRegistry>,
+    exec: &Exec,
 ) -> symclust_cluster::Result<(Arc<Clustering>, Tier, u64)> {
     let key = cluster_key(sym_key, clusterer);
     let (clustering, tier) =
-        cache.get_or_compute(key, || clusterer.cluster_observed(sym, token, metrics))?;
+        cache.get_or_compute(key, || clusterer.build().cluster_ungraph(sym, exec))?;
     Ok((clustering, tier, key))
 }
 
@@ -185,6 +184,17 @@ mod tests {
     use symclust_engine::fingerprint::graph_fingerprint;
     use symclust_graph::generators::figure1_graph;
     use symclust_obs::MetricsRegistry;
+    use symclust_sparse::CancelToken;
+
+    /// The default execution context under `token`, recording into
+    /// `metrics` when given.
+    fn exec(token: &CancelToken, metrics: Option<&MetricsRegistry>) -> Exec {
+        Exec {
+            token: Some(token.clone()),
+            metrics: metrics.cloned(),
+            ..Exec::default()
+        }
+    }
 
     static TEST_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -249,15 +259,23 @@ mod tests {
 
         let cache: TieredCache<CsrMatrix> = TieredCache::new(Arc::clone(&store));
         let (cold, tier, key) =
-            symmetrize_cached(&cache, &g, fp, &method, None, &token, Some(&metrics)).unwrap();
+            symmetrize_cached(&cache, &g, fp, &method, None, &exec(&token, Some(&metrics)))
+                .unwrap();
         assert_eq!(tier, Tier::Computed);
         let spgemm_after_cold = metrics.counter("spgemm.calls").get();
         assert!(spgemm_after_cold > 0, "bibliometric must run SpGEMM cold");
 
         // Restart (fresh L1, same disk): same key, same bytes, no SpGEMM.
         let cache2: TieredCache<CsrMatrix> = TieredCache::new(Arc::clone(&store));
-        let (warm, tier, key2) =
-            symmetrize_cached(&cache2, &g, fp, &method, None, &token, Some(&metrics)).unwrap();
+        let (warm, tier, key2) = symmetrize_cached(
+            &cache2,
+            &g,
+            fp,
+            &method,
+            None,
+            &exec(&token, Some(&metrics)),
+        )
+        .unwrap();
         assert_eq!(tier, Tier::Disk);
         assert_eq!(key, key2);
         assert_eq!(*warm, *cold);
@@ -282,22 +300,33 @@ mod tests {
             fp,
             &SymMethod::PlusTranspose,
             None,
-            &token,
-            None,
+            &exec(&token, None),
         )
         .unwrap();
         let ungraph = UnGraph::from_symmetric_unchecked((*adj).clone());
         let clusterer = Clusterer::Metis { k: 2 };
 
         let cl_cache: TieredCache<Clustering> = TieredCache::new(Arc::clone(&store));
-        let (c1, tier, ckey) =
-            cluster_cached(&cl_cache, &ungraph, sym_key, &clusterer, &token, None).unwrap();
+        let (c1, tier, ckey) = cluster_cached(
+            &cl_cache,
+            &ungraph,
+            sym_key,
+            &clusterer,
+            &exec(&token, None),
+        )
+        .unwrap();
         assert_eq!(tier, Tier::Computed);
         assert_ne!(ckey, sym_key, "cluster key must chain off the sym key");
 
         let cl_cache2: TieredCache<Clustering> = TieredCache::new(Arc::clone(&store));
-        let (c2, tier, _) =
-            cluster_cached(&cl_cache2, &ungraph, sym_key, &clusterer, &token, None).unwrap();
+        let (c2, tier, _) = cluster_cached(
+            &cl_cache2,
+            &ungraph,
+            sym_key,
+            &clusterer,
+            &exec(&token, None),
+        )
+        .unwrap();
         assert_eq!(tier, Tier::Disk);
         assert_eq!(*c1, *c2);
         std::fs::remove_dir_all(&dir).ok();
@@ -313,16 +342,17 @@ mod tests {
         cancelled.cancel();
 
         let cache: TieredCache<CsrMatrix> = TieredCache::new(Arc::clone(&store));
-        let err = symmetrize_cached(&cache, &g, fp, &method, None, &cancelled, None).unwrap_err();
+        let err =
+            symmetrize_cached(&cache, &g, fp, &method, None, &exec(&cancelled, None)).unwrap_err();
         assert!(err.is_cancelled());
 
         // Warm the store, then a cancelled token still gets the hit: no
         // kernel runs, so there is nothing to cancel.
         let token = CancelToken::new();
-        symmetrize_cached(&cache, &g, fp, &method, None, &token, None).unwrap();
+        symmetrize_cached(&cache, &g, fp, &method, None, &exec(&token, None)).unwrap();
         let cache2: TieredCache<CsrMatrix> = TieredCache::new(Arc::clone(&store));
         let (_, tier, _) =
-            symmetrize_cached(&cache2, &g, fp, &method, None, &cancelled, None).unwrap();
+            symmetrize_cached(&cache2, &g, fp, &method, None, &exec(&cancelled, None)).unwrap();
         assert_eq!(tier, Tier::Disk);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -66,7 +66,7 @@ fn main() {
         )
         .expect("projection succeeds");
         let clustering = MlrMcl::with_inflation(2.0)
-            .cluster(projection.graph())
+            .cluster(projection.graph(), &Exec::default())
             .expect("clustering succeeds");
         // Score: fraction of users whose cluster majority shares their
         // planted community.

@@ -13,6 +13,9 @@ use std::time::Instant;
 use symclust::prelude::*;
 
 fn main() {
+    // How the kernels run (threads, cancellation, metrics); never what
+    // they compute.
+    let exec = Exec::default();
     let dataset = cora_like();
     let truth = dataset.truth.as_ref().expect("cora_like has ground truth");
     println!(
@@ -35,14 +38,18 @@ fn main() {
         "symmetrization", "edges", "MCL F", "MCL k", "Metis F", "time(ms)"
     );
     for (name, sym_method) in symmetrizers {
-        let sym = sym_method.symmetrize(&dataset.graph).expect("symmetrize");
+        let sym = sym_method
+            .symmetrize(&dataset.graph, &exec)
+            .expect("symmetrize");
 
-        let mcl = MlrMcl::with_inflation(2.0).cluster(&sym).expect("mlr-mcl");
+        let mcl = MlrMcl::with_inflation(2.0)
+            .cluster(&sym, &exec)
+            .expect("mlr-mcl");
         let mcl_f = avg_f_score(mcl.assignments(), truth).avg_f;
 
         let start = Instant::now();
         let metis = MetisLike::with_k(truth.n_categories())
-            .cluster(&sym)
+            .cluster(&sym, &exec)
             .expect("metis");
         let metis_ms = start.elapsed().as_millis();
         let metis_f = avg_f_score(metis.assignments(), truth).avg_f;

@@ -17,6 +17,9 @@ use symclust::prelude::*;
 type Run<'a> = (&'a str, Box<dyn Fn() -> Clustering + 'a>);
 
 fn main() {
+    // How the kernels run (threads, cancellation, metrics); never what
+    // they compute.
+    let exec = Exec::default();
     let dataset = symclust::datasets::cora_like_scaled(1500);
     let truth = dataset.truth.as_ref().expect("ground truth");
     let k = truth.n_categories();
@@ -28,7 +31,7 @@ fn main() {
     );
 
     let sym = DegreeDiscounted::default()
-        .symmetrize(&dataset.graph)
+        .symmetrize(&dataset.graph, &exec)
         .expect("symmetrize");
 
     println!(
@@ -38,21 +41,29 @@ fn main() {
     let runs: Vec<Run> = vec![
         (
             "DD + MLR-MCL",
-            Box::new(|| MlrMcl::with_inflation(2.0).cluster(&sym).expect("mcl")),
+            Box::new(|| {
+                MlrMcl::with_inflation(2.0)
+                    .cluster(&sym, &exec)
+                    .expect("mcl")
+            }),
         ),
         (
             "DD + Metis",
-            Box::new(|| MetisLike::with_k(k).cluster(&sym).expect("metis")),
+            Box::new(|| MetisLike::with_k(k).cluster(&sym, &exec).expect("metis")),
         ),
         (
             "DD + Graclus",
-            Box::new(|| GraclusLike::with_k(k).cluster(&sym).expect("graclus")),
+            Box::new(|| {
+                GraclusLike::with_k(k)
+                    .cluster(&sym, &exec)
+                    .expect("graclus")
+            }),
         ),
         (
             "DD + Spectral",
             Box::new(|| {
                 SpectralClustering::with_k(k)
-                    .cluster(&sym)
+                    .cluster(&sym, &exec)
                     .expect("spectral")
             }),
         ),

@@ -36,7 +36,7 @@ fn main() {
     // see shared-link communities; nibbling the Degree-discounted
     // similarity graph instead finds them.
     let dd = DegreeDiscounted::default()
-        .symmetrize(&dataset.graph)
+        .symmetrize(&dataset.graph, &Exec::default())
         .expect("symmetrize");
     // Seed from the middle of five different planted categories (seeds
     // must be labeled nodes for the precision metric to mean anything).

@@ -11,6 +11,9 @@
 use symclust::prelude::*;
 
 fn main() {
+    // How the kernels run (threads, cancellation, metrics); never what
+    // they compute.
+    let exec = Exec::default();
     // The directed graph of Figure 1 (9 nodes, 16 edges).
     let g = figure1_graph();
     println!(
@@ -23,16 +26,16 @@ fn main() {
 
     // Stage 1: symmetrize. Compare the naive A+Aᵀ with the paper's
     // Degree-discounted similarity (Eq. 8, α = β = 0.5).
-    let naive = PlusTranspose.symmetrize(&g).expect("symmetrize");
+    let naive = PlusTranspose.symmetrize(&g, &exec).expect("symmetrize");
     let dd = DegreeDiscounted::default()
-        .symmetrize(&g)
+        .symmetrize(&g, &exec)
         .expect("symmetrize");
     println!("\nsimilarity weight between nodes 4 and 5:");
     println!("  A + A'            : {:.4}", naive.adjacency().get(4, 5));
     println!("  Degree-discounted : {:.4}", dd.adjacency().get(4, 5));
 
     // Stage 2: cluster the symmetrized graph with MLR-MCL.
-    let clustering = MlrMcl::default().cluster(&dd).expect("cluster");
+    let clustering = MlrMcl::default().cluster(&dd, &exec).expect("cluster");
     println!(
         "\nMLR-MCL on the Degree-discounted graph found {} clusters:",
         clustering.n_clusters()

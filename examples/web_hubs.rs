@@ -57,7 +57,7 @@ fn main() {
             ..Default::default()
         },
     }
-    .symmetrize(g)
+    .symmetrize(g, &Exec::default())
     .expect("bibliometric");
     let dd = DegreeDiscounted {
         options: DegreeDiscountedOptions {
@@ -65,7 +65,7 @@ fn main() {
             ..Default::default()
         },
     }
-    .symmetrize(g)
+    .symmetrize(g, &Exec::default())
     .expect("degree-discounted");
 
     println!(

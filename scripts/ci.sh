@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt clippy check build test fault debug-assertions threads-matrix oom-matrix serve chaos bench sanitize miri)
+ALL_STAGES=(fmt clippy check build test fault debug-assertions threads-matrix oom-matrix serve chaos bench perfbench sanitize miri)
 
 stage_fmt() { cargo fmt --all -- --check; }
 stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
@@ -45,6 +45,10 @@ stage_debug_assertions() {
     cargo test -q --release -p symclust-engine
 }
 stage_bench() { ./scripts/bench_gate.sh; }
+# The end-to-end benchmark (perfbench/, a workspace of its own) builds
+# against the library crates' public API; building it here makes a
+# library change that breaks the benchmark fail CI.
+stage_perfbench() { cargo build --release --locked --manifest-path perfbench/Cargo.toml; }
 # Daemon smoke over a real unix socket: upload the bundled graph, cold-
 # compute one symmetrization, restart the daemon over the same store, and
 # require the identical request to come back byte-identical with the

@@ -18,13 +18,16 @@
 //! let g = figure1_graph();
 //!
 //! // Degree-discounted symmetrization (the paper's contribution, Eq. 8).
-//! let sym = DegreeDiscounted::default().symmetrize(&g).unwrap();
+//! // `Exec` says how the kernels run (threads, cancellation, metrics);
+//! // it never changes the output.
+//! let exec = Exec::default();
+//! let sym = DegreeDiscounted::default().symmetrize(&g, &exec).unwrap();
 //!
 //! // Nodes 4 and 5 are now strongly connected in the undirected graph.
 //! assert!(sym.adjacency().get(4, 5) > 0.0);
 //!
 //! // Cluster the symmetrized graph with MLR-MCL.
-//! let clustering = MlrMcl::default().cluster(&sym).unwrap();
+//! let clustering = MlrMcl::default().cluster(&sym, &exec).unwrap();
 //! assert_eq!(clustering.cluster_of(4), clustering.cluster_of(5));
 //! ```
 //!
@@ -60,7 +63,7 @@ pub mod prelude {
     pub use symclust_eval::{avg_f_score, normalized_cut, sign_test};
     pub use symclust_graph::generators::figure1_graph;
     pub use symclust_graph::{DiGraph, GraphStats, UnGraph};
-    pub use symclust_sparse::{CooMatrix, CsrMatrix};
+    pub use symclust_sparse::{CooMatrix, CsrMatrix, Exec};
 
     pub use crate::pipeline::{Pipeline, PipelineReport};
 }

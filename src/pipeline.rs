@@ -8,6 +8,7 @@ use symclust_cluster::{ClusterAlgorithm, Clustering};
 use symclust_core::Symmetrizer;
 use symclust_eval::{avg_f_score, modularity, normalized_cut};
 use symclust_graph::{DiGraph, GroundTruth};
+use symclust_sparse::Exec;
 
 /// A configured symmetrize-then-cluster pipeline.
 ///
@@ -78,9 +79,10 @@ impl<S: Symmetrizer, C: ClusterAlgorithm> Pipeline<S, C> {
         g: &DiGraph,
         truth: Option<&GroundTruth>,
     ) -> Result<PipelineReport, Box<dyn std::error::Error>> {
-        let sym = self.symmetrizer.symmetrize(g)?;
+        let exec = Exec::default();
+        let sym = self.symmetrizer.symmetrize(g, &exec)?;
         let start = Instant::now();
-        let clustering = self.clusterer.cluster_ungraph(sym.graph())?;
+        let clustering = self.clusterer.cluster_ungraph(sym.graph(), &exec)?;
         let cluster_secs = start.elapsed().as_secs_f64();
         let f_score = truth.map(|t| avg_f_score(clustering.assignments(), t).avg_f);
         Ok(PipelineReport {

@@ -5,6 +5,7 @@ use symclust::cluster::{ClusterAlgorithm, GraclusLike, MetisLike, MlrMcl};
 use symclust::core::{Bibliometric, DegreeDiscounted, PlusTranspose, RandomWalk, Symmetrizer};
 use symclust::eval::{adjusted_rand_index, avg_f_score};
 use symclust::graph::generators::{figure1_graph, shared_link_dsbm, SharedLinkDsbmConfig};
+use symclust::sparse::Exec;
 
 fn planted_graph(seed: u64) -> symclust::graph::generators::GeneratedGraph {
     shared_link_dsbm(&SharedLinkDsbmConfig {
@@ -23,9 +24,11 @@ fn planted_graph(seed: u64) -> symclust::graph::generators::GeneratedGraph {
 fn degree_discounted_recovers_planted_clusters_with_metis() {
     let g = planted_graph(11);
     let sym = DegreeDiscounted::default()
-        .symmetrize(&g.graph)
+        .symmetrize(&g.graph, &Exec::default())
         .expect("symmetrize");
-    let c = MetisLike::with_k(12).cluster(&sym).expect("cluster");
+    let c = MetisLike::with_k(12)
+        .cluster(&sym, &Exec::default())
+        .expect("cluster");
     let f = avg_f_score(c.assignments(), &g.truth).avg_f;
     assert!(f > 60.0, "F = {f}");
 }
@@ -34,9 +37,11 @@ fn degree_discounted_recovers_planted_clusters_with_metis() {
 fn degree_discounted_recovers_planted_clusters_with_mlrmcl() {
     let g = planted_graph(12);
     let sym = DegreeDiscounted::default()
-        .symmetrize(&g.graph)
+        .symmetrize(&g.graph, &Exec::default())
         .expect("symmetrize");
-    let c = MlrMcl::with_inflation(2.0).cluster(&sym).expect("cluster");
+    let c = MlrMcl::with_inflation(2.0)
+        .cluster(&sym, &Exec::default())
+        .expect("cluster");
     let f = avg_f_score(c.assignments(), &g.truth).avg_f;
     assert!(f > 50.0, "F = {f} with k = {}", c.n_clusters());
 }
@@ -45,9 +50,11 @@ fn degree_discounted_recovers_planted_clusters_with_mlrmcl() {
 fn degree_discounted_recovers_planted_clusters_with_graclus() {
     let g = planted_graph(13);
     let sym = DegreeDiscounted::default()
-        .symmetrize(&g.graph)
+        .symmetrize(&g.graph, &Exec::default())
         .expect("symmetrize");
-    let c = GraclusLike::with_k(12).cluster(&sym).expect("cluster");
+    let c = GraclusLike::with_k(12)
+        .cluster(&sym, &Exec::default())
+        .expect("cluster");
     let f = avg_f_score(c.assignments(), &g.truth).avg_f;
     assert!(f > 55.0, "F = {f}");
 }
@@ -60,12 +67,14 @@ fn degree_discounted_beats_plus_transpose_on_shared_link_clusters() {
     let g = planted_graph(14);
     let k = 12;
     let dd = DegreeDiscounted::default()
-        .symmetrize(&g.graph)
+        .symmetrize(&g.graph, &Exec::default())
         .expect("symmetrize");
-    let pt = PlusTranspose.symmetrize(&g.graph).expect("symmetrize");
+    let pt = PlusTranspose
+        .symmetrize(&g.graph, &Exec::default())
+        .expect("symmetrize");
     let f_dd = avg_f_score(
         MetisLike::with_k(k)
-            .cluster(&dd)
+            .cluster(&dd, &Exec::default())
             .expect("cluster")
             .assignments(),
         &g.truth,
@@ -73,7 +82,7 @@ fn degree_discounted_beats_plus_transpose_on_shared_link_clusters() {
     .avg_f;
     let f_pt = avg_f_score(
         MetisLike::with_k(k)
-            .cluster(&pt)
+            .cluster(&pt, &Exec::default())
             .expect("cluster")
             .assignments(),
         &g.truth,
@@ -95,9 +104,13 @@ fn all_symmetrizations_produce_clusterable_graphs() {
         Box::new(DegreeDiscounted::default()),
     ];
     for sym_method in syms {
-        let sym = sym_method.symmetrize(&g.graph).expect("symmetrize");
+        let sym = sym_method
+            .symmetrize(&g.graph, &Exec::default())
+            .expect("symmetrize");
         assert!(sym.adjacency().is_symmetric(1e-9), "{}", sym.method());
-        let c = MetisLike::with_k(12).cluster(&sym).expect("cluster");
+        let c = MetisLike::with_k(12)
+            .cluster(&sym, &Exec::default())
+            .expect("cluster");
         assert_eq!(c.n_nodes(), 600);
         assert_eq!(c.n_clusters(), 12, "{}", sym.method());
     }
@@ -117,9 +130,11 @@ fn planted_recovery_measured_by_ari() {
     };
     let g = shared_link_dsbm(&cfg).expect("generate");
     let sym = DegreeDiscounted::default()
-        .symmetrize(&g.graph)
+        .symmetrize(&g.graph, &Exec::default())
         .expect("symmetrize");
-    let c = MetisLike::with_k(10).cluster(&sym).expect("cluster");
+    let c = MetisLike::with_k(10)
+        .cluster(&sym, &Exec::default())
+        .expect("cluster");
     let ari = adjusted_rand_index(c.assignments(), &g.planted);
     assert!(ari > 0.5, "ARI = {ari}");
 }
@@ -127,12 +142,14 @@ fn planted_recovery_measured_by_ari() {
 #[test]
 fn figure1_pair_clusters_under_dd_but_not_under_plus_transpose() {
     let g = figure1_graph();
-    let dd = DegreeDiscounted::default().symmetrize(&g).expect("dd");
+    let dd = DegreeDiscounted::default()
+        .symmetrize(&g, &Exec::default())
+        .expect("dd");
     // Under DD the pair is connected with the strongest weight incident to
     // either node.
     let w45 = dd.adjacency().get(4, 5);
     assert!(w45 > 0.0);
-    let pt = PlusTranspose.symmetrize(&g).expect("pt");
+    let pt = PlusTranspose.symmetrize(&g, &Exec::default()).expect("pt");
     assert_eq!(pt.adjacency().get(4, 5), 0.0);
 }
 
@@ -141,10 +158,10 @@ fn pipeline_is_deterministic() {
     let g = planted_graph(16);
     let run = || {
         let sym = DegreeDiscounted::default()
-            .symmetrize(&g.graph)
+            .symmetrize(&g.graph, &Exec::default())
             .expect("symmetrize");
         MetisLike::with_k(12)
-            .cluster(&sym)
+            .cluster(&sym, &Exec::default())
             .expect("cluster")
             .assignments()
             .to_vec()

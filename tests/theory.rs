@@ -7,6 +7,7 @@ use symclust::core::{
 };
 use symclust::eval::{directed_normalized_cut, normalized_cut};
 use symclust::graph::DiGraph;
+use symclust::sparse::Exec;
 
 /// A doubly-stochastic-after-normalization digraph: every node has
 /// out-degree and in-degree exactly `d` (union of `d` circulant shifts),
@@ -29,7 +30,9 @@ fn circulant(n: usize, shifts: &[usize]) -> DiGraph {
 #[test]
 fn gleich_equivalence_of_random_walk_symmetrization() {
     let g = circulant(24, &[1, 3, 7]);
-    let sym = RandomWalk::default().symmetrize(&g).expect("symmetrize");
+    let sym = RandomWalk::default()
+        .symmetrize(&g, &Exec::default())
+        .expect("symmetrize");
     let mut rng = StdRng::seed_from_u64(3);
     for _ in 0..20 {
         // Random nonempty proper subset as a 2-clustering.
@@ -68,7 +71,7 @@ fn bibliometric_counts_common_neighbors() {
             ..Default::default()
         },
     }
-    .symmetrize(&g)
+    .symmetrize(&g, &Exec::default())
     .expect("symmetrize");
     let a = g.adjacency();
     for i in 0..n {
@@ -104,7 +107,7 @@ fn degree_discounted_matches_definition() {
     }
     let g = DiGraph::from_edges(n, &edges).expect("valid edges");
     let sym = DegreeDiscounted::default()
-        .symmetrize(&g)
+        .symmetrize(&g, &Exec::default())
         .expect("symmetrize");
     let a = g.adjacency();
     let out_deg: Vec<f64> = g.weighted_out_degrees();
@@ -135,7 +138,9 @@ fn degree_discounted_matches_definition() {
 #[test]
 fn random_walk_total_weight_is_walk_mass() {
     let g = circulant(15, &[1, 4]);
-    let sym = RandomWalk::default().symmetrize(&g).expect("symmetrize");
+    let sym = RandomWalk::default()
+        .symmetrize(&g, &Exec::default())
+        .expect("symmetrize");
     let total: f64 = sym.adjacency().values().iter().sum();
     assert!((total - 1.0).abs() < 1e-8, "total = {total}");
 }
@@ -152,7 +157,7 @@ fn figure1_high_ncut_but_high_similarity() {
     let ncut_term = directed_normalized_cut(&g, &assignment, 0.05);
     assert!(ncut_term > 0.9);
     let dd = DegreeDiscounted::default()
-        .symmetrize(&g)
+        .symmetrize(&g, &Exec::default())
         .expect("symmetrize");
     let w45 = dd.adjacency().get(4, 5);
     let max_w = dd
