@@ -232,26 +232,6 @@ const ALLOW_UNWRAP: &[(&str, &str, &str)] = &[
         "indptr starts from a pushed 0 and is never empty",
     ),
     (
-        "cluster/src/mcl.rs",
-        "indptr.last().unwrap()",
-        "indptr starts from a pushed 0 and is never empty",
-    ),
-    (
-        "cluster/src/mcl.rs",
-        ".expect(\"same-shape add cannot fail\")",
-        "operands constructed with identical shape on the preceding lines",
-    ),
-    (
-        "cluster/src/mcl.rs",
-        ".expect(\"mcl worker panicked\")",
-        "scoped-thread join fails only on a worker panic; re-raising is intended",
-    ),
-    (
-        "cluster/src/mcl.rs",
-        ".expect(\"crossbeam scope failed\")",
-        "scope join fails only on a worker panic; re-raising is intended",
-    ),
-    (
         "cluster/src/bestwcut.rs",
         ".expect(",
         "shape/length preconditions established immediately above; candidate set non-empty by loop bounds",

@@ -129,9 +129,9 @@ pub trait ClusterAlgorithm {
 
     /// Clusters the undirected graph, run per `exec`. The fast
     /// partitioners check the token before starting; [`MlrMcl`] polls it
-    /// between R-MCL iterations, so long flows stop promptly, and records
-    /// its iteration counts and convergence residuals (DESIGN.md §11) into
-    /// `exec.metrics`.
+    /// once per flow row in every R-MCL step, so long flows stop
+    /// promptly, and records its iteration counts, work counts and
+    /// convergence residuals (DESIGN.md §11) into `exec.metrics`.
     fn cluster_ungraph(&self, g: &UnGraph, exec: &Exec) -> Result<Clustering>;
 
     /// Clusters anything viewable as an undirected graph (ergonomic entry

@@ -16,7 +16,7 @@ use crate::clustering::Clustering;
 use crate::{ClusterError, Result};
 use symclust_graph::stats::UnionFind;
 use symclust_graph::UnGraph;
-use symclust_sparse::{ops, CsrMatrix, Exec};
+use symclust_sparse::{ops, spgemm_rows, CsrMatrix, Exec};
 
 /// Stable metric names recorded by the R-MCL iteration (DESIGN.md §11).
 pub mod metric_names {
@@ -24,6 +24,10 @@ pub mod metric_names {
     pub const RUNS: &str = "mcl.runs";
     /// Total expand–inflate–prune iterations performed.
     pub const ITERATIONS: &str = "mcl.iterations";
+    /// Multiply-adds performed by the expansions (`M · M_G`).
+    pub const FLOPS: &str = "mcl.flops";
+    /// Flow-matrix rows expanded.
+    pub const ROWS: &str = "mcl.rows";
     /// Runs whose assignment stabilized within the iteration budget.
     pub const CONVERGED_RUNS: &str = "mcl.converged_runs";
     /// Runs that exhausted the budget without stabilizing.
@@ -94,16 +98,34 @@ pub struct MclResult {
 pub fn canonical_flow_capped(g: &UnGraph, max_graph_row_nnz: usize) -> CsrMatrix {
     let a = g.adjacency();
     let n = a.n_rows();
-    let mut loop_weights = CsrMatrix::identity(n);
-    {
-        let values = loop_weights.values_mut();
-        for (row, v) in values.iter_mut().enumerate() {
-            let row_max = a.row_values(row).iter().cloned().fold(0.0f64, f64::max);
-            *v = if row_max > 0.0 { row_max } else { 1.0 };
+    let mut indptr = Vec::with_capacity(n + 1);
+    indptr.push(0usize);
+    let mut indices = Vec::with_capacity(a.nnz() + n);
+    let mut values = Vec::with_capacity(a.nnz() + n);
+    for row in 0..n {
+        let row_max = a.row_values(row).iter().cloned().fold(0.0f64, f64::max);
+        // The self-loop replaces any stored diagonal entry and is spliced
+        // in at its column position; explicit zeros are dropped.
+        let mut self_loop = Some(if row_max > 0.0 { row_max } else { 1.0 });
+        for (c, v) in a.row_iter(row) {
+            if c as usize > row {
+                if let Some(w) = self_loop.take() {
+                    indices.push(row as u32);
+                    values.push(w);
+                }
+            }
+            if c as usize != row && v != 0.0 {
+                indices.push(c);
+                values.push(v);
+            }
         }
+        if let Some(w) = self_loop {
+            indices.push(row as u32);
+            values.push(w);
+        }
+        indptr.push(indices.len());
     }
-    let mut with_loops =
-        ops::add(&ops::drop_diagonal(a), &loop_weights).expect("same-shape add cannot fail");
+    let mut with_loops = CsrMatrix::from_raw_parts_unchecked(n, n, indptr, indices, values);
     if max_graph_row_nnz > 0 {
         with_loops = ops::top_k_per_row(&with_loops, max_graph_row_nnz);
     }
@@ -115,220 +137,111 @@ pub fn canonical_flow(g: &UnGraph) -> CsrMatrix {
     canonical_flow_capped(g, MclOptions::default().max_graph_row_nnz)
 }
 
-/// Applies inflation (element-wise power `r`), per-row pruning and
-/// renormalization to a row-stochastic matrix.
-pub fn inflate_and_prune(m: &CsrMatrix, opts: &MclOptions) -> CsrMatrix {
-    let n = m.n_rows();
-    let mut indptr = Vec::with_capacity(n + 1);
-    indptr.push(0usize);
-    let mut indices: Vec<u32> = Vec::new();
-    let mut values: Vec<f64> = Vec::new();
-    let mut scratch: Vec<(u32, f64)> = Vec::new();
-    for row in 0..n {
-        scratch.clear();
-        let mut row_max = 0.0f64;
-        for (c, v) in m.row_iter(row) {
-            let p = v.powf(opts.inflation);
-            if p > row_max {
-                row_max = p;
-            }
-            scratch.push((c, p));
-        }
-        let cutoff = row_max * opts.prune_threshold;
-        scratch.retain(|&(_, v)| v >= cutoff && v > 0.0);
-        if scratch.len() > opts.max_row_nnz {
-            scratch.sort_unstable_by(|a, b| b.1.total_cmp(&a.1));
-            scratch.truncate(opts.max_row_nnz);
-            scratch.sort_unstable_by_key(|&(c, _)| c);
-        }
-        let sum: f64 = scratch.iter().map(|&(_, v)| v).sum();
-        if sum > 0.0 {
-            for &(c, v) in &scratch {
-                indices.push(c);
-                values.push(v / sum);
-            }
-        }
-        indptr.push(indices.len());
-    }
-    CsrMatrix::from_raw_parts_unchecked(n, m.n_cols(), indptr, indices, values)
-}
-
 /// Orphan-repair level: a self-attracted node that attracts nobody else
 /// joins its strongest other target if that flow is at least this fraction
 /// of its self-flow.
 pub const ORPHAN_REATTACH_THRESHOLD: f64 = 0.5;
 
-/// Fused expansion + inflation + pruning: computes one R-MCL iteration
-/// `M' = inflate_and_prune(M · M_G)` without materializing the expanded
-/// matrix. The expanded row (potentially `max_row_nnz × avg_degree` wide)
-/// goes straight from the Gustavson accumulator through inflation and
-/// top-`max_row_nnz` selection, skipping the column sort of the wide
-/// intermediate — the dominant cost of the naive two-step pipeline.
-pub fn expand_inflate_prune(m: &CsrMatrix, m_g: &CsrMatrix, opts: &MclOptions) -> CsrMatrix {
-    let n = m.n_rows();
-    let n_cols = m_g.n_cols();
-    let mut acc = vec![0.0f64; n_cols];
-    let mut touched: Vec<u32> = Vec::new();
-    let mut scratch: Vec<(u32, f64)> = Vec::new();
-    let mut indptr = Vec::with_capacity(n + 1);
-    indptr.push(0usize);
-    let mut indices: Vec<u32> = Vec::new();
-    let mut values: Vec<f64> = Vec::new();
-    for row in 0..n {
-        // Expand: acc = Σ_k M(row, k) · M_G(k, ·).
-        for (k, mv) in m.row_iter(row) {
-            for (j, gv) in m_g.row_iter(k as usize) {
-                let slot = &mut acc[j as usize];
-                if *slot == 0.0 {
-                    touched.push(j);
-                }
-                *slot += mv * gv;
-            }
-        }
-        // Inflate + threshold against the inflated row maximum.
-        scratch.clear();
-        let mut row_max = 0.0f64;
-        for &j in &touched {
-            let v = acc[j as usize];
-            acc[j as usize] = 0.0;
-            if v > 0.0 {
-                let p = v.powf(opts.inflation);
-                if p > row_max {
-                    row_max = p;
-                }
-                scratch.push((j, p));
-            }
-        }
-        touched.clear();
-        let cutoff = row_max * opts.prune_threshold;
-        scratch.retain(|&(_, v)| v >= cutoff && v > 0.0);
-        if scratch.len() > opts.max_row_nnz {
-            // Partial selection of the top entries, then sort only those.
-            let k = opts.max_row_nnz;
-            scratch.select_nth_unstable_by(k - 1, |a, b| b.1.total_cmp(&a.1));
-            scratch.truncate(k);
-        }
-        scratch.sort_unstable_by_key(|&(c, _)| c);
-        let sum: f64 = scratch.iter().map(|&(_, v)| v).sum();
-        if sum > 0.0 {
-            for &(c, v) in &scratch {
-                indices.push(c);
-                values.push(v / sum);
-            }
-        }
-        indptr.push(indices.len());
-    }
-    CsrMatrix::from_raw_parts_unchecked(n, n_cols, indptr, indices, values)
-}
+/// Relative band below a row's raw maximum inside which an entry is still
+/// inflated to find the inflated maximum. `powf` is monotone only up to a
+/// few ulps; an entry further below the raw maximum is inflated to a
+/// strictly smaller value whenever `inflation >= 1`.
+const MAX_BAND: f64 = 1e-12;
 
-/// Row-parallel variant of [`expand_inflate_prune`]: output rows are split
-/// One worker's share of the parallel flow matrix: `(indptr deltas,
-/// indices, values)` for its contiguous row chunk.
-type FlowChunk = (Vec<usize>, Vec<u32>, Vec<f64>);
+/// Relative slack on the raw-value prune floor `cutoff^(1/inflation)`:
+/// an entry below the slackened floor inflates to strictly less than the
+/// cutoff, so it is dropped without calling `powf`.
+const FLOOR_SLACK: f64 = 1e-9;
 
-/// into contiguous chunks processed by crossbeam scoped threads, each with
-/// its own accumulator. Falls back to the serial kernel for small inputs or
-/// single-thread environments. Produces the same output as the serial
-/// kernel (each row's computation is independent).
-pub fn expand_inflate_prune_parallel(
+/// One R-MCL step `M' = inflate_prune(M · M_G)` on the shared row runner
+/// ([`spgemm_rows`]), without materializing the expanded matrix: each
+/// expanded row goes straight from the accumulator through inflation,
+/// threshold, top-`max_row_nnz` selection and renormalization. Runs per
+/// `exec` (threads, a cancellation poll per row) and records
+/// [`metric_names::FLOPS`] and [`metric_names::ROWS`] once per call. The
+/// output is bit-identical for every thread count.
+pub fn rmcl_step(
     m: &CsrMatrix,
     m_g: &CsrMatrix,
     opts: &MclOptions,
-    n_threads: usize,
-) -> CsrMatrix {
-    let n = m.n_rows();
-    let n_threads = if n_threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
+    exec: &Exec,
+) -> Result<CsrMatrix> {
+    let (next, flops) = spgemm_rows(m, m_g, exec, |entries, indices, values| {
+        inflate_prune_row(entries, opts, indices, values)
+    })?;
+    if let Some(metrics) = exec.metrics() {
+        metrics.counter(metric_names::FLOPS).add(flops);
+        metrics.counter(metric_names::ROWS).add(m.n_rows() as u64);
+    }
+    Ok(next)
+}
+
+/// The R-MCL row epilogue: inflates (`p = v^r`), drops entries with
+/// `p < prune_threshold · max p`, keeps the `max_row_nnz` largest and
+/// renormalizes, appending the survivors in column order. `entries` holds
+/// the expanded row in first-touch order.
+///
+/// The prune test is monotone in `v` for `r >= 1`, so `powf` runs only on
+/// the entries near the raw maximum (to find `max p`) and on those at or
+/// above the slackened floor `(prune_threshold · max p)^(1/r)`; both
+/// margins are over a thousand times wider than `powf`'s few-ulp error.
+/// The kept set, each kept `p`, and the survivors' first-touch order —
+/// which decides ties at the top-k boundary — are exactly those of
+/// inflating every entry.
+fn inflate_prune_row(
+    entries: &mut Vec<(u32, f64)>,
+    opts: &MclOptions,
+    indices: &mut Vec<u32>,
+    values: &mut Vec<f64>,
+) {
+    let r = opts.inflation;
+    let monotone = r >= 1.0;
+    let raw_max = entries.iter().fold(0.0f64, |acc, &(_, v)| acc.max(v));
+    let near_max = if monotone {
+        raw_max * (1.0 - MAX_BAND)
     } else {
-        n_threads
+        0.0
     };
-    if n_threads <= 1 || n < 4 * n_threads {
-        return expand_inflate_prune(m, m_g, opts);
-    }
-    let chunk = n.div_ceil(n_threads);
-    let mut results: Vec<Option<FlowChunk>> = (0..n_threads).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..n_threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            if lo >= hi {
-                break;
+    let row_max = entries
+        .iter()
+        .filter(|&&(_, v)| v > 0.0 && v >= near_max)
+        .fold(0.0f64, |acc, &(_, v)| {
+            let p = v.powf(r);
+            if p > acc {
+                p
+            } else {
+                acc
             }
-            let opts = *opts;
-            handles.push((
-                t,
-                scope.spawn(move |_| {
-                    let n_cols = m_g.n_cols();
-                    let mut acc = vec![0.0f64; n_cols];
-                    let mut touched: Vec<u32> = Vec::new();
-                    let mut scratch: Vec<(u32, f64)> = Vec::new();
-                    let mut row_lens = Vec::with_capacity(hi - lo);
-                    let mut indices: Vec<u32> = Vec::new();
-                    let mut values: Vec<f64> = Vec::new();
-                    for row in lo..hi {
-                        let before = indices.len();
-                        for (k, mv) in m.row_iter(row) {
-                            for (j, gv) in m_g.row_iter(k as usize) {
-                                let slot = &mut acc[j as usize];
-                                if *slot == 0.0 {
-                                    touched.push(j);
-                                }
-                                *slot += mv * gv;
-                            }
-                        }
-                        scratch.clear();
-                        let mut row_max = 0.0f64;
-                        for &j in &touched {
-                            let v = acc[j as usize];
-                            acc[j as usize] = 0.0;
-                            if v > 0.0 {
-                                let p = v.powf(opts.inflation);
-                                if p > row_max {
-                                    row_max = p;
-                                }
-                                scratch.push((j, p));
-                            }
-                        }
-                        touched.clear();
-                        let cutoff = row_max * opts.prune_threshold;
-                        scratch.retain(|&(_, v)| v >= cutoff && v > 0.0);
-                        if scratch.len() > opts.max_row_nnz {
-                            let k = opts.max_row_nnz;
-                            scratch.select_nth_unstable_by(k - 1, |a, b| b.1.total_cmp(&a.1));
-                            scratch.truncate(k);
-                        }
-                        scratch.sort_unstable_by_key(|&(c, _)| c);
-                        let sum: f64 = scratch.iter().map(|&(_, v)| v).sum();
-                        if sum > 0.0 {
-                            for &(c, v) in &scratch {
-                                indices.push(c);
-                                values.push(v / sum);
-                            }
-                        }
-                        row_lens.push(indices.len() - before);
-                    }
-                    (row_lens, indices, values)
-                }),
-            ));
+        });
+    let cutoff = row_max * opts.prune_threshold;
+    let floor = if monotone && cutoff.is_normal() && cutoff > 0.0 {
+        cutoff.powf(1.0 / r) * (1.0 - FLOOR_SLACK)
+    } else {
+        0.0
+    };
+    entries.retain_mut(|(_, v)| {
+        if !(*v > 0.0 && *v >= floor) {
+            return false;
         }
-        for (t, handle) in handles {
-            results[t] = Some(handle.join().expect("mcl worker panicked"));
+        *v = v.powf(r);
+        *v >= cutoff && *v > 0.0
+    });
+    let k = opts.max_row_nnz;
+    if entries.len() > k {
+        // Partial selection of the top entries, then sort only those.
+        if k > 0 {
+            entries.select_nth_unstable_by(k - 1, |a, b| b.1.total_cmp(&a.1));
         }
-    })
-    .expect("crossbeam scope failed");
-    let mut indptr = Vec::with_capacity(n + 1);
-    indptr.push(0usize);
-    let mut indices: Vec<u32> = Vec::new();
-    let mut values: Vec<f64> = Vec::new();
-    for (row_lens, idx, vals) in results.into_iter().flatten() {
-        for len in row_lens {
-            indptr.push(indptr.last().unwrap() + len);
-        }
-        indices.extend_from_slice(&idx);
-        values.extend_from_slice(&vals);
+        entries.truncate(k);
     }
-    CsrMatrix::from_raw_parts_unchecked(n, m_g.n_cols(), indptr, indices, values)
+    entries.sort_unstable_by_key(|&(c, _)| c);
+    let sum: f64 = entries.iter().map(|&(_, v)| v).sum();
+    if sum > 0.0 {
+        for &(c, v) in entries.iter() {
+            indices.push(c);
+            values.push(v / sum);
+        }
+    }
 }
 
 /// Extracts a hard clustering from a flow matrix.
@@ -389,9 +302,9 @@ pub fn extract_clusters(flow: &CsrMatrix) -> Clustering {
 
 /// Runs the R-MCL iteration `M := inflate(M · M_G)` starting from `m0`.
 /// Returns the final flow, iterations used and whether it converged.
-/// Polls `exec`'s token before every expand-inflate-prune step, so a
-/// runaway flow computation stops within one iteration of the token
-/// tripping, and records the run's counters into `exec.metrics`.
+/// Every [`rmcl_step`] polls `exec`'s token once per row, so a runaway
+/// flow computation stops within one row of the token tripping; the
+/// run's counters go to `exec.metrics`.
 pub fn rmcl_iterate(
     m_g: &CsrMatrix,
     m0: CsrMatrix,
@@ -408,9 +321,8 @@ pub fn rmcl_iterate(
     let mut residual = 1.0f64;
     let mut converged = false;
     for iter in 1..=max_iter {
-        exec.checkpoint()?;
         iterations = iter;
-        m = expand_inflate_prune(&m, m_g, opts);
+        m = rmcl_step(&m, m_g, opts, exec)?;
         let assignment = extract_clusters(&m).assignments().to_vec();
         let changed = match prev_assignment.as_deref() {
             Some(prev) => prev.iter().zip(&assignment).filter(|(a, b)| a != b).count(),
@@ -466,6 +378,19 @@ pub fn rmcl(g: &UnGraph, opts: &MclOptions) -> Result<MclResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An [`Exec`] on `threads` threads, everything else at the default.
+    fn on(threads: usize) -> Exec {
+        Exec {
+            threads,
+            ..Exec::default()
+        }
+    }
+
+    /// Inflation and pruning alone: one R-MCL step against `M_G = I`.
+    fn inflate_and_prune(m: &CsrMatrix, opts: &MclOptions) -> CsrMatrix {
+        rmcl_step(m, &CsrMatrix::identity(m.n_cols()), opts, &on(1)).unwrap()
+    }
 
     fn two_cliques_un(k: usize) -> UnGraph {
         let mut edges = Vec::new();
@@ -527,6 +452,16 @@ mod tests {
         assert!((sum - 1.0).abs() < 1e-12);
         // The two largest entries survive.
         assert!(p.get(0, 0) > 0.0 && p.get(0, 1) > 0.0);
+    }
+
+    #[test]
+    fn zero_row_cap_empties_the_flow_instead_of_panicking() {
+        let m = CsrMatrix::from_dense(&[vec![0.4, 0.6], vec![0.5, 0.5]]);
+        let opts = MclOptions {
+            max_row_nnz: 0,
+            ..Default::default()
+        };
+        assert_eq!(inflate_and_prune(&m, &opts).nnz(), 0);
     }
 
     #[test]
@@ -619,8 +554,8 @@ mod tests {
         let g = two_cliques_un(8); // 16 nodes > 4*3 threads
         let m_g = canonical_flow(&g);
         let opts = MclOptions::default();
-        let serial = expand_inflate_prune(&m_g, &m_g, &opts);
-        let parallel = expand_inflate_prune_parallel(&m_g, &m_g, &opts, 3);
+        let serial = rmcl_step(&m_g, &m_g, &opts, &on(1)).unwrap();
+        let parallel = rmcl_step(&m_g, &m_g, &opts, &on(3)).unwrap();
         assert_eq!(serial.indptr(), parallel.indptr());
         assert_eq!(serial.indices(), parallel.indices());
         for (a, b) in serial.values().iter().zip(parallel.values()) {
@@ -633,9 +568,52 @@ mod tests {
         let g = two_cliques_un(3);
         let m_g = canonical_flow(&g);
         let opts = MclOptions::default();
-        let serial = expand_inflate_prune(&m_g, &m_g, &opts);
-        let parallel = expand_inflate_prune_parallel(&m_g, &m_g, &opts, 8);
+        let serial = rmcl_step(&m_g, &m_g, &opts, &on(1)).unwrap();
+        let parallel = rmcl_step(&m_g, &m_g, &opts, &on(8)).unwrap();
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn work_counters_match_across_thread_counts() {
+        // 40 six-cliques in a ring: 240 rows, four scheduler blocks.
+        let (c, k) = (40, 6);
+        let mut edges = Vec::new();
+        for ci in 0..c {
+            let base = ci * k;
+            for i in 0..k {
+                for j in (i + 1)..k {
+                    edges.push((base + i, base + j));
+                }
+            }
+            edges.push((base + k - 1, (base + k) % (c * k)));
+        }
+        let g = UnGraph::from_edges(c * k, &edges).unwrap();
+        let m_g = canonical_flow(&g);
+        let counted = |threads| {
+            let m = symclust_obs::MetricsRegistry::new();
+            let exec = Exec {
+                metrics: Some(m.clone()),
+                ..on(threads)
+            };
+            let opts = MclOptions::default();
+            let (_, iterations, _) = rmcl_iterate(&m_g, m_g.clone(), &opts, 40, &exec).unwrap();
+            let snap = m.snapshot();
+            assert_eq!(
+                snap.counter("spgemm.flops"),
+                None,
+                "MCL work is not SpGEMM work"
+            );
+            (
+                snap.counter(metric_names::FLOPS),
+                snap.counter(metric_names::ROWS),
+                iterations,
+            )
+        };
+        let serial = counted(1);
+        assert_eq!(serial, counted(4));
+        let (flops, rows, iterations) = serial;
+        assert_eq!(rows, Some((iterations * c * k) as u64));
+        assert!(flops.unwrap() >= rows.unwrap());
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Property-based tests for the clustering algorithms.
 
+mod oracle;
+
+use oracle::inflate_and_prune;
 use proptest::prelude::*;
 use symclust_cluster::graclus_like::normalized_cut;
-use symclust_cluster::mcl::{canonical_flow, inflate_and_prune, MclOptions};
+use symclust_cluster::mcl::{canonical_flow, MclOptions};
 use symclust_cluster::metis_like::{edge_cut, kway_refine, recursive_bisection_partition};
 use symclust_cluster::{ClusterAlgorithm, GraclusLike, MetisLike, MlrMcl};
 use symclust_graph::UnGraph;
@@ -109,12 +112,12 @@ proptest! {
 
     #[test]
     fn fused_kernel_matches_two_step_pipeline(g in ungraph(25, 90), r in 1.2f64..3.0) {
-        use symclust_cluster::mcl::expand_inflate_prune;
+        use symclust_cluster::mcl::rmcl_step;
         use symclust_sparse::{spgemm, SpgemmOptions};
         let serial = Exec { threads: 1, ..Exec::default() };
         let m_g = canonical_flow(&g);
         let opts = MclOptions { inflation: r, ..Default::default() };
-        let fused = expand_inflate_prune(&m_g, &m_g, &opts);
+        let fused = rmcl_step(&m_g, &m_g, &opts, &serial).unwrap();
         let two_step = inflate_and_prune(&spgemm(&m_g, &m_g, &SpgemmOptions::default(), &serial).unwrap(), &opts);
         prop_assert_eq!(fused.indptr(), two_step.indptr());
         prop_assert_eq!(fused.indices(), two_step.indices());

@@ -59,7 +59,9 @@ pub use exec::Exec;
 pub use lanczos::{lanczos_smallest, tridiagonal_eigen, LanczosOptions, LanczosResult};
 pub use pagerank::{pagerank, stationary_distribution, PageRankOptions, PageRankResult};
 pub use panel::{PanelPlan, DEFAULT_PANEL_ROWS};
-pub use spgemm::{spgemm, spgemm_budgeted, spgemm_nnz_upper_bound, BudgetedSpgemm, SpgemmOptions};
+pub use spgemm::{
+    spgemm, spgemm_budgeted, spgemm_nnz_upper_bound, spgemm_rows, BudgetedSpgemm, SpgemmOptions,
+};
 pub use syrk::{spgemm_syrk, spgemm_syrk_sum, spgemm_syrk_sum_budgeted, SyrkTerm};
 
 /// Result alias used across the crate.

@@ -233,19 +233,8 @@ fn gustavson_row(
     counts.flops += estimated_width as u64;
     if opts.row_is_dense(accum, estimated_width) {
         counts.rows_dense += 1;
-        let acc = &mut scratch.acc;
-        let touched = &mut scratch.touched;
-        acc.begin_row();
-        touched.clear();
-        for (k, av) in a.row_iter(row) {
-            scatter_scaled(
-                acc,
-                touched,
-                av,
-                b.row_indices(k as usize),
-                b.row_values(k as usize),
-            );
-        }
+        scatter_row(a, b, row, scratch);
+        let RowScratch { acc, touched, .. } = scratch;
         touched.sort_unstable();
         for &j in touched.iter() {
             let v = acc.get(j);
@@ -276,6 +265,19 @@ fn gustavson_row(
     }
     counts.rows += 1;
     counts.emitted += (indices.len() - emitted_before) as u64;
+}
+
+/// Accumulates row `row` of `A·B` into `scratch`'s dense accumulator,
+/// listing the touched columns in first-touch order.
+#[inline]
+fn scatter_row(a: &CsrMatrix, b: &CsrMatrix, row: usize, scratch: &mut RowScratch) {
+    let RowScratch { acc, touched, .. } = scratch;
+    acc.begin_row();
+    touched.clear();
+    for (k, av) in a.row_iter(row) {
+        let k = k as usize;
+        scatter_scaled(acc, touched, av, b.row_indices(k), b.row_values(k));
+    }
 }
 
 /// Output triple (plus work counters) of a row-kernel run, shared between
@@ -567,6 +569,49 @@ pub fn spgemm(
         out.indices,
         out.values,
     ))
+}
+
+/// Gustavson `A·B` fused with a per-row `epilogue`, run per `exec` on the
+/// shared row runner (work stealing, a cancellation poll per row, worker
+/// panics as [`SparseError::WorkerPanic`]). Returns the product and the
+/// multiply-adds performed; nothing is flushed under `spgemm.*`.
+///
+/// Every row accumulates densely whatever `exec.accum` says, and
+/// `exec.panel` is ignored. The epilogue gets the row's `(column, value)`
+/// entries in *first-touch* order, may reorder or overwrite them, and
+/// appends the output row to `(indices, values)` in ascending column
+/// order; the result is validated, so an epilogue that breaks that order
+/// fails the call with [`SparseError::InvalidStructure`].
+pub fn spgemm_rows<E>(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    exec: &Exec,
+    epilogue: E,
+) -> Result<(CsrMatrix, u64)>
+where
+    E: Fn(&mut Vec<(u32, f64)>, &mut Vec<u32>, &mut Vec<f64>) + Sync,
+{
+    check_dims(a, b)?;
+    let (n_rows, n_cols) = (a.n_rows(), b.n_cols());
+    let out = run_rows(
+        n_rows,
+        exec.threads,
+        exec.token.as_ref(),
+        || RowScratch::new(n_cols),
+        |row, scratch: &mut RowScratch, indices, values, _| {
+            scatter_row(a, b, row, scratch);
+            let RowScratch {
+                acc,
+                touched,
+                pairs,
+            } = scratch;
+            pairs.clear();
+            pairs.extend(touched.iter().map(|&j| (j, acc.get(j))));
+            epilogue(pairs, indices, values);
+        },
+    )?;
+    let m = CsrMatrix::from_raw_parts(n_rows, n_cols, out.indptr, out.indices, out.values)?;
+    Ok((m, spgemm_flops(a, b) as u64))
 }
 
 /// Estimated number of multiply-adds for `A·B` (the paper's Σᵢ dᵢ² bound

@@ -867,7 +867,7 @@ mod tests {
 #[cfg(all(test, feature = "fault-injection"))]
 mod fault_tests {
     use super::*;
-    use crate::faultfs::{self, FAULT_TEST_LOCK};
+    use crate::faultfs;
     use symclust_engine::faultplan::{FaultErrno, FaultSpec};
     use symclust_sparse::CsrMatrix;
 
@@ -884,7 +884,6 @@ mod fault_tests {
 
     #[test]
     fn enospc_put_enters_degraded_mode_and_hits_keep_serving() {
-        let _guard = FAULT_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let dir = temp_store_dir("degraded");
         let store = DiskStore::open(&dir, StoreOptions::default()).unwrap();
         store.put(1, &matrix(1.0)).unwrap();
@@ -935,7 +934,6 @@ mod fault_tests {
 
     #[test]
     fn stats_persist_failures_are_counted_not_swallowed() {
-        let _guard = FAULT_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let dir = temp_store_dir("persist_err");
         let store = DiskStore::open(&dir, StoreOptions::default()).unwrap();
 
@@ -963,7 +961,6 @@ mod fault_tests {
 
     #[test]
     fn injected_short_read_quarantines_instead_of_serving() {
-        let _guard = FAULT_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let dir = temp_store_dir("short_read");
         let store = DiskStore::open(&dir, StoreOptions::default()).unwrap();
         store.put(5, &matrix(2.0)).unwrap();
@@ -988,7 +985,6 @@ mod fault_tests {
 
     #[test]
     fn injected_rename_failure_is_a_put_error_and_cleans_the_temp() {
-        let _guard = FAULT_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let dir = temp_store_dir("rename_fail");
         let store = DiskStore::open(&dir, StoreOptions::default()).unwrap();
 

@@ -2,21 +2,24 @@
 //!
 //! In a normal build each function here is a zero-cost passthrough to
 //! `std::fs`. Under the `fault-injection` cargo feature the shim also
-//! consults a process-global, schedule-deterministic
+//! consults a schedule-deterministic
 //! [`FaultSpec`](symclust_engine::faultplan::FaultSpec): every mediated
-//! syscall increments a global operation counter, and the spec names which
-//! operation misbehaves and how — a torn write (seeded prefix, then
+//! syscall increments the schedule's operation counter, and the spec names
+//! which operation misbehaves and how — a torn write (seeded prefix, then
 //! `abort()`), a short read, a one-shot `EIO`/`ENOSPC`, a persistently
 //! full disk, or a plain crash at the syscall boundary. Because the
 //! counter advances identically on every run of the same workload, "fault
 //! at operation 17" names the same syscall every time; there is no RNG and
 //! no clock anywhere in the schedule (see the `cache-key-purity` lint).
 //!
-//! The spec is armed either programmatically ([`arm`]/[`reset`], for unit
-//! tests) or from the `SYMCLUST_FAULTFS` environment variable (for child
-//! daemons spawned by the `symclust chaos` harness), parsed once on first
-//! use. A malformed spec aborts the process loudly — a chaos run that
-//! silently injected nothing would be worse than one that failed.
+//! The spec is armed either from the `SYMCLUST_FAULTFS` environment
+//! variable (for child daemons spawned by the `symclust chaos` harness),
+//! parsed once on first use and shared by every thread, or
+//! programmatically ([`arm`]/[`reset`], for unit tests), which scopes the
+//! schedule and its counter to the calling thread so concurrently running
+//! tests cannot inject faults into each other. A malformed spec aborts
+//! the process loudly — a chaos run that silently injected nothing would
+//! be worse than one that failed.
 //!
 //! `symclust-check` enforces (rule `store-faultfs`) that no other file in
 //! `crates/store` touches `std::fs` directly, so a fault schedule really
@@ -173,24 +176,32 @@ fn short_keep(_op: usize, len: usize) -> usize {
 #[cfg(feature = "fault-injection")]
 pub use injection::{arm, op_count, reset};
 
-/// Serializes tests that arm the process-global schedule (shared with the
-/// disk-store fault tests; armed schedules must never interleave).
-#[cfg(all(test, feature = "fault-injection"))]
-pub(crate) static FAULT_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[cfg(feature = "fault-injection")]
 mod injection {
     use super::OpKind;
+    use std::cell::RefCell;
     use std::io;
     use std::sync::{Mutex, OnceLock, PoisonError};
     use symclust_engine::faultplan::FaultSpec;
 
+    /// A schedule and the number of mediated operations it has seen.
     struct State {
         spec: Option<FaultSpec>,
         counter: u64,
     }
 
-    fn state() -> &'static Mutex<State> {
+    impl State {
+        /// Numbers the next mediated operation, if a schedule is armed.
+        fn tick(&mut self) -> Option<(FaultSpec, u64)> {
+            let spec = self.spec?;
+            let n = self.counter;
+            self.counter += 1;
+            Some((spec, n))
+        }
+    }
+
+    /// The process-wide schedule from `SYMCLUST_FAULTFS`, parsed once.
+    fn global() -> &'static Mutex<State> {
         static STATE: OnceLock<Mutex<State>> = OnceLock::new();
         STATE.get_or_init(|| {
             let spec = match std::env::var("SYMCLUST_FAULTFS") {
@@ -207,40 +218,51 @@ mod injection {
         })
     }
 
-    fn lock() -> std::sync::MutexGuard<'static, State> {
-        state().lock().unwrap_or_else(PoisonError::into_inner)
+    thread_local! {
+        /// The schedule [`arm`] / [`reset`] set on this thread. It replaces
+        /// the process-wide one for this thread's operations only, so
+        /// tests running in parallel never see each other's faults or
+        /// operation counts.
+        static LOCAL: RefCell<Option<State>> = const { RefCell::new(None) };
     }
 
-    /// Arms `spec` programmatically (unit tests), resetting the operation
-    /// counter so schedules are relative to the arming point.
+    /// Runs `f` on this thread's schedule if one was set, else on the
+    /// process-wide one.
+    fn with_state<T>(f: impl FnOnce(&mut State) -> T) -> T {
+        LOCAL.with(|local| match local.borrow_mut().as_mut() {
+            Some(st) => f(st),
+            None => f(&mut global().lock().unwrap_or_else(PoisonError::into_inner)),
+        })
+    }
+
+    fn set_local(spec: Option<FaultSpec>) {
+        LOCAL.with(|local| *local.borrow_mut() = Some(State { spec, counter: 0 }));
+    }
+
+    /// Arms `spec` for the calling thread (unit tests), resetting the
+    /// operation counter so schedules are relative to the arming point.
+    /// Other threads keep the process-wide schedule.
     pub fn arm(spec: FaultSpec) {
-        let mut st = lock();
-        st.spec = Some(spec);
-        st.counter = 0;
+        set_local(Some(spec));
     }
 
-    /// Disarms any schedule (environment-derived or programmatic).
+    /// Disarms the calling thread: its operations are neither injected
+    /// nor counted from here on, whatever `SYMCLUST_FAULTFS` says.
     pub fn reset() {
-        let mut st = lock();
-        st.spec = None;
-        st.counter = 0;
+        set_local(None);
     }
 
-    /// The number of mediated operations seen since the last arm/reset
-    /// (or process start). Lets tests discover schedule offsets instead
-    /// of hard-coding them.
+    /// The number of mediated operations the calling thread's schedule
+    /// has seen since the last arm/reset (or process start). Lets tests
+    /// discover schedule offsets instead of hard-coding them.
     pub fn op_count() -> u64 {
-        lock().counter
+        with_state(|st| st.counter)
     }
 
     pub(super) fn gate(kind: OpKind, data_len: Option<usize>) -> io::Result<Option<usize>> {
-        let mut st = lock();
-        let Some(spec) = st.spec else {
+        let Some((spec, n)) = with_state(State::tick) else {
             return Ok(None);
         };
-        let n = st.counter;
-        st.counter += 1;
-        drop(st);
         if spec.crash_at == Some(n) {
             match (kind, data_len) {
                 // Torn write: the caller writes a seeded prefix, then aborts.
@@ -271,7 +293,7 @@ mod injection {
     /// Derives the kept-prefix length for a short read of operation `op`
     /// over `len` content bytes (seeded, strictly shorter when `len > 0`).
     pub(super) fn short_keep(op: usize, len: usize) -> usize {
-        match lock().spec {
+        match with_state(|st| st.spec) {
             Some(spec) => spec.torn_prefix_len(op as u64, len),
             None => len,
         }
@@ -296,7 +318,6 @@ mod tests {
 
     #[test]
     fn err_at_fails_exactly_one_operation() {
-        let _guard = FAULT_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let path = temp_file("err_at");
         arm(FaultSpec {
             err_at: Some((1, FaultErrno::Eio)),
@@ -314,7 +335,6 @@ mod tests {
 
     #[test]
     fn enospc_after_fails_mutations_but_not_reads() {
-        let _guard = FAULT_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let path = temp_file("enospc");
         arm(FaultSpec {
             enospc_after: Some(1),
@@ -334,7 +354,6 @@ mod tests {
 
     #[test]
     fn short_read_returns_a_strict_prefix() {
-        let _guard = FAULT_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let path = temp_file("short_read");
         reset();
         write(&path, b"0123456789").unwrap();
@@ -359,7 +378,6 @@ mod tests {
 
     #[test]
     fn write_sync_counts_three_operations() {
-        let _guard = FAULT_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let path = temp_file("three_ops");
         arm(FaultSpec::default());
         write_sync(&path, b"payload").unwrap();
@@ -370,7 +388,6 @@ mod tests {
 
     #[test]
     fn unarmed_shim_is_a_passthrough() {
-        let _guard = FAULT_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         reset();
         let dir = temp_file("passthrough_dir");
         create_dir_all(&dir).unwrap();

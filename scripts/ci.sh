@@ -114,7 +114,8 @@ stage_serve() {
     return 1
   }
 }
-# Scheduling-determinism matrix: the kernel/symmetrizer tests must pass
+# Scheduling-determinism matrix: the kernel/symmetrizer/clusterer tests
+# (including the R-MCL bit-identity oracle suite) must pass
 # with the SpGEMM thread default forced serial and forced 4-way, and
 # under every accumulator strategy (dense / sparse / adaptive), since
 # output (and every deterministic counter) is spec'd bit-identical for
@@ -124,7 +125,7 @@ stage_threads_matrix() {
     for n in 1 4; do
       echo "--- SYMCLUST_ACCUM=$accum SYMCLUST_THREADS=$n"
       SYMCLUST_ACCUM="$accum" SYMCLUST_THREADS="$n" \
-        cargo test -q -p symclust-sparse -p symclust-core
+        cargo test -q -p symclust-sparse -p symclust-core -p symclust-cluster
     done
   done
 }
