@@ -8,7 +8,7 @@
 //! bench_gate accum-check <graph.txt>
 //! bench_gate panel-check <graph.txt>
 //! bench_gate oom-check
-//! bench_gate trajectory  <BENCH_pipeline.json> <trajectory.jsonl> [commit]
+//! bench_gate trajectory  <metrics.json>  <trajectory.jsonl> [commit]
 //! ```
 //!
 //! `emit` converts a `symclust pipeline --metrics-out` file into the
@@ -40,8 +40,9 @@
 //! least 4× larger than the spill byte budget it is given, and fails
 //! unless the run finishes without failures, actually spills, and
 //! recovers the planted clusters (F-score floor). `trajectory` appends
-//! one `{commit, wall_ms, spgemm.flops, rows_dense, rows_sparse}` JSON
-//! line from a BENCH file to the checked-in perf history.
+//! one `{commit, wall_ms, spgemm.flops, rows_dense, rows_sparse,
+//! span.stage.<stage>.total_secs…}` JSON line from a pipeline
+//! `--metrics-out` file to the checked-in perf history.
 
 use symclust_bench::gate;
 use symclust_obs::MetricsRegistry;
@@ -136,17 +137,16 @@ fn run() -> Result<(), String> {
             oom_check()
         }
         Some("trajectory") => {
-            let (bench_path, out_path, commit) = match args.as_slice() {
-                [_, b, o] => (b, o, "unknown"),
-                [_, b, o, c] => (b, o, c.as_str()),
-                _ => {
-                    return Err(
-                        "usage: bench_gate trajectory <BENCH.json> <trajectory.jsonl> [commit]"
+            let (metrics_path, out_path, commit) =
+                match args.as_slice() {
+                    [_, m, o] => (m, o, "unknown"),
+                    [_, m, o, c] => (m, o, c.as_str()),
+                    _ => return Err(
+                        "usage: bench_gate trajectory <metrics.json> <trajectory.jsonl> [commit]"
                             .into(),
-                    )
-                }
-            };
-            trajectory_append(bench_path, out_path, commit)
+                    ),
+                };
+            trajectory_append(metrics_path, out_path, commit)
         }
         _ => Err(
             "usage: bench_gate emit|check|syrk-check|serve-check|accum-check|panel-check\
@@ -451,33 +451,14 @@ fn oom_check_in(dir: &std::path::Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Appends one perf-history line from a BENCH file:
-/// `{"commit":…,"wall_ms":…,"spgemm.flops":…,"spgemm.rows_dense":…,"spgemm.rows_sparse":…}`.
-fn trajectory_append(bench_path: &str, out_path: &str, commit: &str) -> Result<(), String> {
+/// Appends [`gate::trajectory_line`] of a pipeline metrics file to the
+/// perf history.
+fn trajectory_append(metrics_path: &str, out_path: &str, commit: &str) -> Result<(), String> {
     use std::io::Write;
 
-    let bench = gate::read_flat_json(bench_path)?;
-    let num = |key: &str| {
-        bench
-            .get(key)
-            .and_then(symclust_engine::json::JsonValue::as_f64)
-    };
-    let wall = num("wall_secs").ok_or_else(|| format!("{bench_path} has no wall_secs"))?;
-    let flops = num("spgemm.flops").ok_or_else(|| format!("{bench_path} has no spgemm.flops"))?;
-    let rows_dense = num("spgemm.rows_dense").unwrap_or(0.0);
-    let rows_sparse = num("spgemm.rows_sparse").unwrap_or(0.0);
-    let commit_clean: String = commit
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
-        .collect();
-    let line = format!(
-        "{{\"commit\":\"{commit_clean}\",\"wall_ms\":{:.1},\"spgemm.flops\":{},\
-         \"spgemm.rows_dense\":{},\"spgemm.rows_sparse\":{}}}\n",
-        wall * 1e3,
-        flops as u64,
-        rows_dense as u64,
-        rows_sparse as u64
-    );
+    let metrics = gate::read_flat_json(metrics_path)?;
+    let line =
+        gate::trajectory_line(&metrics, commit).map_err(|e| format!("{metrics_path}: {e}"))?;
     let mut f = std::fs::OpenOptions::new()
         .create(true)
         .append(true)

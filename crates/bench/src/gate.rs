@@ -43,6 +43,8 @@ pub const EXACT_KEYS: &[&str] = &[
     "counter.spgemm.panels",
     "counter.spgemm.panel_spills",
     "counter.spgemm.spill_bytes",
+    "counter.mcl.flops",
+    "counter.mcl.rows",
 ];
 // NOT gated: `counter.spgemm.sched_steals` — the work-stealing scheduler's
 // steal count depends on thread count and machine load, so it is exactly
@@ -140,6 +142,42 @@ pub fn compare(
         }
     }
     violations
+}
+
+/// Pipeline stages whose `span.stage.<stage>.total_secs` each trajectory
+/// line records, so the perf history shows where a run's time went.
+pub const TRAJECTORY_STAGES: &[&str] = &["symmetrize", "prune", "cluster", "evaluate"];
+
+/// One `trajectory.jsonl` line (newline-terminated) from a pipeline
+/// `--metrics-out` object: the commit, `wall_ms`, the SpGEMM flop and
+/// row-strategy counters, and the total seconds of every
+/// [`TRAJECTORY_STAGES`] span (0 for a stage that never ran). Only
+/// `[A-Za-z0-9_-]` of `commit` is kept.
+pub fn trajectory_line(
+    metrics: &HashMap<String, JsonValue>,
+    commit: &str,
+) -> Result<String, String> {
+    let num = |key: &str| metrics.get(key).and_then(JsonValue::as_f64);
+    let wall = num("wall_secs").ok_or("metrics JSON has no numeric wall_secs key")?;
+    let flops = num("counter.spgemm.flops").ok_or("metrics JSON has no counter.spgemm.flops")?;
+    let commit: String = commit
+        .chars()
+        .filter(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
+        .collect();
+    let mut line = format!(
+        "{{\"commit\":\"{commit}\",\"wall_ms\":{:.1},\"spgemm.flops\":{},\
+         \"spgemm.rows_dense\":{},\"spgemm.rows_sparse\":{}",
+        wall * 1e3,
+        flops as u64,
+        num("counter.spgemm.rows_dense").unwrap_or(0.0) as u64,
+        num("counter.spgemm.rows_sparse").unwrap_or(0.0) as u64,
+    );
+    for stage in TRAJECTORY_STAGES {
+        let key = format!("span.stage.{stage}.total_secs");
+        line.push_str(&format!(",\"{key}\":{:.6}", num(&key).unwrap_or(0.0)));
+    }
+    line.push_str("}\n");
+    Ok(line)
 }
 
 /// Reads and flat-parses a BENCH/metrics JSON file.
@@ -254,5 +292,36 @@ mod tests {
                 && violations[0].contains("not in the baseline"),
             "drift must be reported by key name: {violations:?}"
         );
+    }
+
+    #[test]
+    fn trajectory_line_carries_stage_seconds() {
+        let mut m = sample_metrics();
+        m.insert(
+            "span.stage.symmetrize.total_secs".into(),
+            JsonValue::Num(0.05),
+        );
+        let line = trajectory_line(&m, "abc 123\"").unwrap();
+        let parsed = parse_object(line.trim_end()).unwrap();
+        assert_eq!(parsed["commit"].as_str(), Some("abc123"));
+        assert_eq!(parsed["wall_ms"].as_f64(), Some(2000.0));
+        assert_eq!(parsed["spgemm.flops"].as_f64(), Some(1234.0));
+        assert_eq!(
+            parsed["span.stage.symmetrize.total_secs"].as_f64(),
+            Some(0.05)
+        );
+        assert_eq!(parsed["span.stage.cluster.total_secs"].as_f64(), Some(0.2));
+        // A stage that never ran reads 0, so every line has the same keys.
+        assert_eq!(parsed["span.stage.prune.total_secs"].as_f64(), Some(0.0));
+        assert!(line.ends_with("}\n"));
+        // The stage spans stay out of the gated BENCH file.
+        let bench = parse_object(&emit_bench_json(&m).unwrap()).unwrap();
+        assert!(compare(&bench, &bench, 0.25).is_empty());
+        assert!(!bench.keys().any(|k| k.starts_with("span.")));
+    }
+
+    #[test]
+    fn trajectory_line_needs_a_pipeline_metrics_file() {
+        assert!(trajectory_line(&metrics(&[("wall_secs", 1.0)]), "c").is_err());
     }
 }

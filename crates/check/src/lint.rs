@@ -222,16 +222,6 @@ const ALLOW_UNWRAP: &[(&str, &str, &str)] = &[
         "the constructor always appends the overflow bucket",
     ),
     (
-        "sparse/src/spgemm.rs",
-        "indptr.last().unwrap()",
-        "indptr starts from a pushed 0 and is never empty",
-    ),
-    (
-        "sparse/src/syrk.rs",
-        "indptr.last().unwrap()",
-        "indptr starts from a pushed 0 and is never empty",
-    ),
-    (
         "cluster/src/bestwcut.rs",
         ".expect(",
         "shape/length preconditions established immediately above; candidate set non-empty by loop bounds",

@@ -11,9 +11,9 @@
 //! * Gustavson-style sparse matrix–matrix multiplication ([`spgemm`]) that
 //!   prunes on the fly and runs crossbeam-parallel, scheduled by
 //!   work-stealing over row blocks, with per-row adaptive accumulation
-//!   ([`AccumStrategy`]): wide rows use an epoch-stamped dense scratch
-//!   accumulator, narrow rows a sorted sparse gather, bit-identical either
-//!   way,
+//!   ([`AccumStrategy`]): wide rows use a dense zero-on-emit accumulator
+//!   with sort-free emission, narrow rows a sorted sparse gather,
+//!   bit-identical either way,
 //! * a symmetric SYRK kernel family ([`spgemm_syrk`]) computing `X·Xᵀ`
 //!   (and fused sums of such products) upper-triangle-only with an O(nnz)
 //!   mirror pass — the hot path of the Bibliometric and Degree-discounted

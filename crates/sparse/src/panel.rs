@@ -12,14 +12,18 @@
 //!
 //! ## Bit-identity with the in-memory path
 //!
-//! Restricting a row's scatter/gather to the sorted column subrange
-//! `[c_lo, c_hi)` (found with two `partition_point`s) preserves, for every
-//! output column `j`, the exact sequence of `f64` adds the in-memory kernel
-//! performs for `j`: products are generated in the same ascending-`k`
-//! (and, for SYRK sums, term-major) order and accumulate from the same
-//! `0.0` first touch. The sparse strategy's stable sort preserves the same
-//! order per column. Tiles are concatenated in ascending column-panel order
-//! per row, so each merged row is the in-memory row, bit for bit — at any
+//! A tile runs the in-memory row body ([`crate::spgemm::product_row`])
+//! with its column range `[c_lo, c_hi)`, which clips each right-factor
+//! row with a `partition_point` at every edge that cuts into it. Clipping
+//! preserves, for every output column `j`, the exact sequence of `f64`
+//! adds the in-memory kernel performs for `j`: products are generated in
+//! the same ascending-`k` (and, for SYRK sums, term-major) order and
+//! accumulate into a slot that starts at the same `+0.0`. Which emission
+//! the dense accumulator picks can differ between a tile and the whole
+//! row (the tile's span is narrower), but both emissions read the same
+//! sums. The sparse strategy's stable sort preserves the same order per
+//! column. Tiles are concatenated in ascending column-panel order per
+//! row, so each merged row is the in-memory row, bit for bit — at any
 //! panel size, thread count, or spill budget.
 //!
 //! Every deterministic work counter also matches: tile column ranges
@@ -43,19 +47,16 @@
 
 use std::path::PathBuf;
 
-use crate::accum::{
-    gather_scaled, gather_scaled_term, reduce_pairs, reduce_pairs_terms, scatter_scaled,
-    scatter_scaled_seen,
-};
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::exec::Exec;
 use crate::sched::BlockQueues;
 use crate::spgemm::{
-    emits, panic_text, resolve_threads, RowKernelOutput, RowScratch, SpgemmCounts, SpgemmOptions,
+    panic_text, product_row, resolve_threads, row_products, RowKernelOutput, RowScratch,
+    SpgemmCounts, SpgemmOptions,
 };
 use crate::spill::{self, SpillDir, TileReader};
-use crate::syrk::{flush_syrk, mirror_upper, SyrkScratch, SyrkTerm};
+use crate::syrk::{flush_syrk, mirror_upper, SyrkTerm};
 use crate::Result;
 
 /// Default rows (and columns) per panel when a [`PanelPlan`] is engaged
@@ -372,18 +373,18 @@ fn merge_panel_outputs(
     Ok((indptr, indices, values))
 }
 
-/// Computes tile `(pi, pj)` of the general product: the restriction of
-/// rows `[r_lo, r_hi)` of `A·B` to columns `[c_lo, c_hi)`. Counter
-/// semantics match the in-memory kernel exactly: FLOPs / touched / emitted
-/// are counted per tile over the disjoint column ranges (summing to the
-/// in-memory totals), per-row counters only on the owner tile `pj == 0`,
-/// and the dense/sparse decision uses the full-row width estimate.
+/// Computes one tile: rows `[r_lo, r_hi)` of `Σₜ xₜ·xtₜ` restricted to
+/// columns `[c_lo, c_hi)` — further to `[max(row, c_lo), c_hi)` for an
+/// upper-triangle (`triangle`) SYRK tile — through the in-memory row body
+/// [`product_row`]. Flops / touched / emitted are counted per tile over
+/// disjoint column ranges, so they sum to the in-memory totals; the
+/// per-row counters are counted only on the row panel's `owner` tile.
 #[allow(clippy::too_many_arguments)]
-fn gustavson_tile(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
+fn product_tile(
+    terms: &[SyrkTerm<'_>],
     rows: (usize, usize),
     cols: (usize, usize),
+    triangle: bool,
     owner: bool,
     scratch: &mut RowScratch,
     opts: &SpgemmOptions,
@@ -391,170 +392,25 @@ fn gustavson_tile(
     out: &mut TileData,
     counts: &mut SpgemmCounts,
 ) -> Result<()> {
-    let (r_lo, r_hi) = rows;
     let (c_lo, c_hi) = cols;
-    let RowScratch {
-        acc,
-        touched,
-        pairs,
-    } = scratch;
-    for row in r_lo..r_hi {
+    for row in rows.0..rows.1 {
         exec.checkpoint()?;
         let before = out.indices.len();
-        let full_width: usize = a
-            .row_indices(row)
-            .iter()
-            .map(|&k| b.row_nnz(k as usize))
-            .sum();
-        let dense = opts.row_is_dense(exec.accum, full_width);
+        let floor = if triangle { c_lo.max(row) } else { c_lo };
+        let dense = product_row(
+            terms,
+            row,
+            (floor, c_hi),
+            scratch,
+            opts,
+            exec.accum,
+            &mut out.indices,
+            &mut out.values,
+            counts,
+        );
         if owner {
-            counts.rows += 1;
-            if dense {
-                counts.rows_dense += 1;
-            } else {
-                counts.rows_sparse += 1;
-            }
+            counts.row(dense);
         }
-        if dense {
-            acc.begin_row();
-            touched.clear();
-            for (k, av) in a.row_iter(row) {
-                let bcols = b.row_indices(k as usize);
-                let bvals = b.row_values(k as usize);
-                let lo = bcols.partition_point(|&j| (j as usize) < c_lo);
-                let hi = bcols.partition_point(|&j| (j as usize) < c_hi);
-                counts.flops += (hi - lo) as u64;
-                scatter_scaled(acc, touched, av, &bcols[lo..hi], &bvals[lo..hi]);
-            }
-            touched.sort_unstable();
-            for &j in touched.iter() {
-                let v = acc.get(j);
-                if emits(v, j, row, opts) {
-                    out.indices.push(j);
-                    out.values.push(v);
-                }
-            }
-            counts.touched += touched.len() as u64;
-        } else {
-            pairs.clear();
-            for (k, av) in a.row_iter(row) {
-                let bcols = b.row_indices(k as usize);
-                let bvals = b.row_values(k as usize);
-                let lo = bcols.partition_point(|&j| (j as usize) < c_lo);
-                let hi = bcols.partition_point(|&j| (j as usize) < c_hi);
-                counts.flops += (hi - lo) as u64;
-                gather_scaled(pairs, av, &bcols[lo..hi], &bvals[lo..hi]);
-            }
-            counts.touched += reduce_pairs(pairs, |j, v| {
-                if emits(v, j, row, opts) {
-                    out.indices.push(j);
-                    out.values.push(v);
-                }
-            });
-        }
-        counts.emitted += (out.indices.len() - before) as u64;
-        out.row_lens.push((out.indices.len() - before) as u32);
-    }
-    Ok(())
-}
-
-/// Computes tile `(pi, pj)` (with `pj ≥ pi`) of the upper triangle of
-/// `Σₜ Xₜ·Xₜᵀ`: rows `[r_lo, r_hi)` restricted to columns
-/// `[max(row, c_lo), c_hi)`. The per-`pj` ranges partition each row's
-/// in-memory range `[row, n)`, so counters sum exactly; per-row counters
-/// are owned by the diagonal tile `pj == pi`.
-#[allow(clippy::too_many_arguments)]
-fn syrk_tile(
-    terms: &[SyrkTerm<'_>],
-    rows: (usize, usize),
-    cols: (usize, usize),
-    owner: bool,
-    scratch: &mut SyrkScratch,
-    opts: &SpgemmOptions,
-    exec: &Exec,
-    out: &mut TileData,
-    counts: &mut SpgemmCounts,
-) -> Result<()> {
-    let (r_lo, r_hi) = rows;
-    let (c_lo, c_hi) = cols;
-    let SyrkScratch {
-        accs,
-        seen,
-        touched,
-        pairs,
-    } = scratch;
-    for row in r_lo..r_hi {
-        exec.checkpoint()?;
-        let before = out.indices.len();
-        let full_width: usize = terms
-            .iter()
-            .map(|term| {
-                term.x
-                    .row_indices(row)
-                    .iter()
-                    .map(|&k| term.xt.row_nnz(k as usize))
-                    .sum::<usize>()
-            })
-            .sum();
-        let dense = opts.row_is_dense(exec.accum, full_width);
-        if owner {
-            counts.rows += 1;
-            if dense {
-                counts.rows_dense += 1;
-            } else {
-                counts.rows_sparse += 1;
-            }
-        }
-        let col_floor = c_lo.max(row);
-        let distinct = if dense {
-            seen.begin_row();
-            touched.clear();
-            for (term, acc) in terms.iter().zip(accs.iter_mut()) {
-                acc.begin_row();
-                for (k, xv) in term.x.row_iter(row) {
-                    let tcols = term.xt.row_indices(k as usize);
-                    let tvals = term.xt.row_values(k as usize);
-                    let lo = tcols.partition_point(|&j| (j as usize) < col_floor);
-                    let hi = tcols.partition_point(|&j| (j as usize) < c_hi);
-                    counts.flops += (hi - lo) as u64;
-                    scatter_scaled_seen(acc, seen, touched, xv, &tcols[lo..hi], &tvals[lo..hi]);
-                }
-            }
-            touched.sort_unstable();
-            for &j in touched.iter() {
-                let mut v = 0.0f64;
-                for acc in accs.iter() {
-                    if acc.touched(j) {
-                        v += acc.get(j);
-                    }
-                }
-                if emits(v, j, row, opts) {
-                    out.indices.push(j);
-                    out.values.push(v);
-                }
-            }
-            touched.len() as u64
-        } else {
-            pairs.clear();
-            for (t, term) in terms.iter().enumerate() {
-                for (k, xv) in term.x.row_iter(row) {
-                    let tcols = term.xt.row_indices(k as usize);
-                    let tvals = term.xt.row_values(k as usize);
-                    let lo = tcols.partition_point(|&j| (j as usize) < col_floor);
-                    let hi = tcols.partition_point(|&j| (j as usize) < c_hi);
-                    counts.flops += (hi - lo) as u64;
-                    gather_scaled_term(pairs, t as u32, xv, &tcols[lo..hi], &tvals[lo..hi]);
-                }
-            }
-            reduce_pairs_terms(pairs, |j, v| {
-                if emits(v, j, row, opts) {
-                    out.indices.push(j);
-                    out.values.push(v);
-                }
-            })
-        };
-        counts.touched += distinct;
-        counts.emitted += (out.indices.len() - before) as u64;
         out.row_lens.push((out.indices.len() - before) as u32);
     }
     Ok(())
@@ -586,11 +442,7 @@ pub(crate) fn spgemm_panel(
     for (pi, pf) in panel_flops.iter_mut().enumerate() {
         let (r_lo, r_hi) = panel_range(pi, panel_rows, n_rows);
         for row in r_lo..r_hi {
-            *pf += a
-                .row_indices(row)
-                .iter()
-                .map(|&k| b.row_nnz(k as usize) as u64)
-                .sum::<u64>();
+            *pf += row_products(a, b, row) as u64;
         }
     }
     let est = |tile: usize| -> u64 {
@@ -603,20 +455,21 @@ pub(crate) fn spgemm_panel(
         None
     };
 
+    let terms = [SyrkTerm { x: a, xt: b }];
     let (outs, mut counts, steals, spill_bytes) = run_tiles(
         n_tiles,
         exec.threads,
         &spill_flags,
         dir.as_ref(),
-        || RowScratch::new(n_cols),
+        || RowScratch::new(n_cols, 1),
         |tile, scratch, data, counts| {
             let pi = tile / n_col_panels;
             let pj = tile % n_col_panels;
-            gustavson_tile(
-                a,
-                b,
+            product_tile(
+                &terms,
                 panel_range(pi, panel_rows, n_rows),
                 panel_range(pj, panel_rows, n_cols),
+                false,
                 pj == 0,
                 scratch,
                 opts,
@@ -681,12 +534,7 @@ pub(crate) fn spgemm_syrk_sum_panel(
         let (r_lo, r_hi) = panel_range(pi, panel_rows, n);
         for row in r_lo..r_hi {
             for term in terms {
-                *pf += term
-                    .x
-                    .row_indices(row)
-                    .iter()
-                    .map(|&k| term.xt.row_nnz(k as usize) as u64)
-                    .sum::<u64>();
+                *pf += row_products(term.x, term.xt, row) as u64;
             }
         }
     }
@@ -706,13 +554,14 @@ pub(crate) fn spgemm_syrk_sum_panel(
         exec.threads,
         &spill_flags,
         dir.as_ref(),
-        || SyrkScratch::new(n, terms.len()),
+        || RowScratch::new(n, terms.len()),
         |tile, scratch, data, counts| {
             let (pi, pj) = tile_panels[tile];
-            syrk_tile(
+            product_tile(
                 terms,
                 panel_range(pi, panel_rows, n),
                 panel_range(pj, panel_rows, n),
+                true,
                 pj == pi,
                 scratch,
                 opts,

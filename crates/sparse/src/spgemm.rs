@@ -2,8 +2,8 @@
 //!
 //! [`spgemm`] uses Gustavson's row-wise algorithm: row `i` of `C = A·B` is
 //! the linear combination of the rows of `B` selected by the non-zeros of row
-//! `i` of `A`, accumulated in a dense scratch vector with a "touched columns"
-//! list so clearing costs O(row nnz), not O(n).
+//! `i` of `A`, accumulated in dense zero-on-emit slots with a "touched
+//! columns" list, so a row costs O(its products), never O(n).
 //!
 //! [`SpgemmOptions::threshold`] prunes *during* accumulation output, which
 //! is what makes the paper's Degree-discounted symmetrization tractable on
@@ -17,17 +17,18 @@
 //! work counter are bit-identical for any thread count.
 //!
 //! The symmetric `C = X·Xᵀ` case has a dedicated upper-triangle kernel in
-//! [`crate::syrk`] that shares this module's scratch discipline, counters
-//! and scheduler.
+//! [`crate::syrk`] that shares this module's row body ([`product_row`]),
+//! counters and scheduler.
 
 use crate::accum::{
-    gather_scaled, reduce_pairs, scatter_scaled, AccumStrategy, DenseAccum, DEFAULT_ACCUM_CROSSOVER,
+    gather_scaled_term, reduce_pairs_terms, AccumStrategy, DenseAccum, DEFAULT_ACCUM_CROSSOVER,
 };
 use crate::cancel::CancelToken;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::exec::Exec;
 use crate::sched::{BlockQueues, DEFAULT_BLOCK_ROWS};
+use crate::syrk::SyrkTerm;
 use crate::Result;
 use symclust_obs::MetricsRegistry;
 
@@ -70,7 +71,7 @@ pub mod metric_names {
     /// but a persistently high ratio versus total blocks on a skewed graph
     /// is the load-balancing at work.
     pub const SCHED_STEALS: &str = "spgemm.sched_steals";
-    /// Output rows accumulated with the dense epoch-stamped scratch
+    /// Output rows accumulated with the dense zero-on-emit slots
     /// (estimated intermediate width at or above the crossover). The
     /// dense/sparse split depends only on the input structure and the
     /// crossover — never on thread count — so both counters are
@@ -121,6 +122,16 @@ impl SpgemmCounts {
         self.panels += other.panels;
         self.panel_spills += other.panel_spills;
         self.spill_bytes += other.spill_bytes;
+    }
+
+    /// Counts one output row and the strategy it ran with.
+    pub(crate) fn row(&mut self, dense: bool) {
+        self.rows += 1;
+        if dense {
+            self.rows_dense += 1;
+        } else {
+            self.rows_sparse += 1;
+        }
     }
 
     pub(crate) fn flush(&self, metrics: Option<&MetricsRegistry>) {
@@ -201,83 +212,98 @@ pub(crate) fn emits(v: f64, j: u32, row: usize, opts: &SpgemmOptions) -> bool {
     v != 0.0 && v.abs() >= opts.threshold && !(opts.drop_diagonal && j as usize == row)
 }
 
-/// Computes one output row with the strategy [`SpgemmOptions::row_is_dense`]
-/// picks for `accum` from the row's Gustavson FLOP estimate, and flushes
-/// entries that pass the threshold into `(indices, values)`. Both
-/// strategies emit in ascending column order with bit-identical values
-/// (see [`crate::accum`]), so the choice never leaks into the output or
-/// the downstream block assembly.
+/// Multiply-adds of row `row` of `x·xt` over the whole row: the
+/// §3.6-style estimate of the row's intermediate width (every product
+/// touches at most one distinct column), from the input structure alone.
+#[inline]
+pub(crate) fn row_products(x: &CsrMatrix, xt: &CsrMatrix, row: usize) -> usize {
+    x.row_indices(row)
+        .iter()
+        .map(|&k| xt.row_nnz(k as usize))
+        .sum()
+}
+
+/// Row `k` of `m` clipped to the columns `[c_lo, c_hi)`. An edge is
+/// binary-searched only when it cuts into the column range, so the
+/// whole-row case costs nothing.
+#[inline]
+fn clipped(m: &CsrMatrix, k: usize, c_lo: usize, c_hi: usize) -> (&[u32], &[f64]) {
+    let cols = m.row_indices(k);
+    let vals = m.row_values(k);
+    let lo = if c_lo == 0 {
+        0
+    } else {
+        cols.partition_point(|&j| (j as usize) < c_lo)
+    };
+    let hi = if c_hi >= m.n_cols() {
+        cols.len()
+    } else {
+        cols.partition_point(|&j| (j as usize) < c_hi)
+    }
+    .max(lo);
+    (&cols[lo..hi], &vals[lo..hi])
+}
+
+/// The one row body of every thresholded product: row `row` of
+/// `Σₜ xₜ·xtₜ` restricted to the columns `[c_lo, c_hi)`, with the entries
+/// [`emits`] keeps appended to `(indices, values)` in ascending column
+/// order. A general product `A·B` is the one-term sum `x = A, xt = B`
+/// over `[0, n_cols)`; a SYRK row is clipped to its upper triangle
+/// `[row, n)`; a panel tile passes its column range.
+///
+/// The strategy comes from [`SpgemmOptions::row_is_dense`] applied to the
+/// *full* row's product count, so a row split into tiles takes the same
+/// path in every tile, and both strategies emit bit-identical entries
+/// (see [`crate::accum`]). Counts the multiply-adds, distinct columns and
+/// emitted entries inside the range (they sum exactly over tiles), and
+/// returns whether the row ran dense, for the caller's once-per-row
+/// [`SpgemmCounts::row`].
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn gustavson_row(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
+pub(crate) fn product_row(
+    terms: &[SyrkTerm<'_>],
     row: usize,
+    (c_lo, c_hi): (usize, usize),
     scratch: &mut RowScratch,
     opts: &SpgemmOptions,
     accum: AccumStrategy,
     indices: &mut Vec<u32>,
     values: &mut Vec<f64>,
     counts: &mut SpgemmCounts,
-) {
+) -> bool {
     let emitted_before = indices.len();
-    // The row's exact multiply-add count doubles as the §3.6-style
-    // estimate of its intermediate width (every product touches at most
-    // one distinct column), so the strategy decision is free and depends
-    // only on the input structure.
-    let estimated_width: usize = a
-        .row_indices(row)
-        .iter()
-        .map(|&k| b.row_nnz(k as usize))
-        .sum();
-    counts.flops += estimated_width as u64;
-    if opts.row_is_dense(accum, estimated_width) {
-        counts.rows_dense += 1;
-        scatter_row(a, b, row, scratch);
-        let RowScratch { acc, touched, .. } = scratch;
-        touched.sort_unstable();
-        for &j in touched.iter() {
-            let v = acc.get(j);
-            if emits(v, j, row, opts) {
-                indices.push(j);
-                values.push(v);
+    let estimated_width: usize = terms.iter().map(|t| row_products(t.x, t.xt, row)).sum();
+    let dense = opts.row_is_dense(accum, estimated_width);
+    let RowScratch { acc, pairs } = scratch;
+    if dense {
+        acc.start_row(estimated_width.min(c_hi.saturating_sub(c_lo)));
+        for (t, term) in terms.iter().enumerate() {
+            for (k, xv) in term.x.row_iter(row) {
+                let (cols, vals) = clipped(term.xt, k as usize, c_lo, c_hi);
+                counts.flops += cols.len() as u64;
+                acc.scatter(t, xv, cols, vals);
             }
         }
-        counts.touched += touched.len() as u64;
+        counts.touched += acc.distinct() as u64;
+        acc.emit_sorted(|j, v| emits(v, j, row, opts), indices, values);
     } else {
-        counts.rows_sparse += 1;
-        let pairs = &mut scratch.pairs;
         pairs.clear();
-        for (k, av) in a.row_iter(row) {
-            gather_scaled(
-                pairs,
-                av,
-                b.row_indices(k as usize),
-                b.row_values(k as usize),
-            );
+        for (t, term) in terms.iter().enumerate() {
+            for (k, xv) in term.x.row_iter(row) {
+                let (cols, vals) = clipped(term.xt, k as usize, c_lo, c_hi);
+                counts.flops += cols.len() as u64;
+                gather_scaled_term(pairs, t as u32, xv, cols, vals);
+            }
         }
-        counts.touched += reduce_pairs(pairs, |j, v| {
+        counts.touched += reduce_pairs_terms(pairs, |j, v| {
             if emits(v, j, row, opts) {
                 indices.push(j);
                 values.push(v);
             }
         });
     }
-    counts.rows += 1;
     counts.emitted += (indices.len() - emitted_before) as u64;
-}
-
-/// Accumulates row `row` of `A·B` into `scratch`'s dense accumulator,
-/// listing the touched columns in first-touch order.
-#[inline]
-fn scatter_row(a: &CsrMatrix, b: &CsrMatrix, row: usize, scratch: &mut RowScratch) {
-    let RowScratch { acc, touched, .. } = scratch;
-    acc.begin_row();
-    touched.clear();
-    for (k, av) in a.row_iter(row) {
-        let k = k as usize;
-        scatter_scaled(acc, touched, av, b.row_indices(k), b.row_values(k));
-    }
+    dense
 }
 
 /// Output triple (plus work counters) of a row-kernel run, shared between
@@ -457,9 +483,11 @@ where
     indptr.push(0usize);
     let mut indices = Vec::with_capacity(total_nnz);
     let mut values = Vec::with_capacity(total_nnz);
+    let mut offset = 0usize;
     for b in blocks {
         for len in b.row_lens {
-            indptr.push(indptr.last().unwrap() + len);
+            offset += len;
+            indptr.push(offset);
         }
         indices.extend_from_slice(&b.indices);
         values.extend_from_slice(&b.values);
@@ -506,22 +534,19 @@ where
     })
 }
 
-/// Per-worker scratch for the general Gustavson kernel: the dense
-/// epoch-stamped accumulator, its duplicate-free touched-column list, and
-/// the pair buffer the sparse strategy gathers into. Both buffers are
-/// reused across every row the worker executes, so a mixed adaptive run
-/// allocates each at its high-water mark once.
+/// Per-worker scratch for [`product_row`]: the dense accumulator (one
+/// slot array per term) and the triple buffer sparse rows gather into.
+/// Both are reused across every row the worker executes, so a mixed
+/// adaptive run allocates each at its high-water mark once.
 pub(crate) struct RowScratch {
     pub(crate) acc: DenseAccum,
-    pub(crate) touched: Vec<u32>,
-    pub(crate) pairs: Vec<(u32, f64)>,
+    pub(crate) pairs: Vec<(u32, u32, f64)>,
 }
 
 impl RowScratch {
-    pub(crate) fn new(n_cols: usize) -> Self {
+    pub(crate) fn new(n_cols: usize, n_terms: usize) -> Self {
         RowScratch {
-            acc: DenseAccum::new(n_cols),
-            touched: Vec::new(),
+            acc: DenseAccum::new(n_cols, n_terms),
             pairs: Vec::new(),
         }
     }
@@ -547,15 +572,25 @@ pub fn spgemm(
     }
     let n_rows = a.n_rows();
     let n_cols = b.n_cols();
+    let terms = [SyrkTerm { x: a, xt: b }];
     let out = run_rows(
         n_rows,
         exec.threads,
         exec.token.as_ref(),
-        || RowScratch::new(n_cols),
+        || RowScratch::new(n_cols, 1),
         |row, scratch: &mut RowScratch, indices, values, counts| {
-            gustavson_row(
-                a, b, row, scratch, opts, exec.accum, indices, values, counts,
+            let dense = product_row(
+                &terms,
+                row,
+                (0, n_cols),
+                scratch,
+                opts,
+                exec.accum,
+                indices,
+                values,
+                counts,
             );
+            counts.row(dense);
         },
     )?;
     out.counts.flush(exec.metrics());
@@ -597,17 +632,16 @@ where
         n_rows,
         exec.threads,
         exec.token.as_ref(),
-        || RowScratch::new(n_cols),
-        |row, scratch: &mut RowScratch, indices, values, _| {
-            scatter_row(a, b, row, scratch);
-            let RowScratch {
-                acc,
-                touched,
-                pairs,
-            } = scratch;
-            pairs.clear();
-            pairs.extend(touched.iter().map(|&j| (j, acc.get(j))));
-            epilogue(pairs, indices, values);
+        || (DenseAccum::new(n_cols, 1), Vec::new()),
+        |row, (acc, entries): &mut (DenseAccum, Vec<(u32, f64)>), indices, values, _| {
+            acc.start_row(row_products(a, b, row).min(n_cols));
+            for (k, av) in a.row_iter(row) {
+                let k = k as usize;
+                acc.scatter_first_touch(av, b.row_indices(k), b.row_values(k));
+            }
+            entries.clear();
+            acc.drain_first_touch(entries);
+            epilogue(entries, indices, values);
         },
     )?;
     let m = CsrMatrix::from_raw_parts(n_rows, n_cols, out.indptr, out.indices, out.values)?;
@@ -617,14 +651,7 @@ where
 /// Estimated number of multiply-adds for `A·B` (the paper's Σᵢ dᵢ² bound
 /// specializes this to `A·Aᵀ`). Useful for predicting symmetrization cost.
 pub fn spgemm_flops(a: &CsrMatrix, b: &CsrMatrix) -> usize {
-    (0..a.n_rows())
-        .map(|r| {
-            a.row_indices(r)
-                .iter()
-                .map(|&k| b.row_nnz(k as usize))
-                .sum::<usize>()
-        })
-        .sum()
+    (0..a.n_rows()).map(|r| row_products(a, b, r)).sum()
 }
 
 /// Gustavson upper bound on `nnz(A·B)`: every multiply-add produces at most
@@ -691,7 +718,8 @@ pub fn spgemm_budgeted(
     let mut compactions = 0u64;
     let n_rows = a.n_rows();
     let n_cols = b.n_cols();
-    let mut scratch = RowScratch::new(n_cols);
+    let terms = [SyrkTerm { x: a, xt: b }];
+    let mut scratch = RowScratch::new(n_cols, 1);
     let mut indptr = Vec::with_capacity(n_rows + 1);
     indptr.push(0usize);
     let mut indices: Vec<u32> = Vec::new();
@@ -700,10 +728,10 @@ pub fn spgemm_budgeted(
     let mut counts = SpgemmCounts::default();
     for row in 0..n_rows {
         exec.checkpoint()?;
-        gustavson_row(
-            a,
-            b,
+        let dense = product_row(
+            &terms,
             row,
+            (0, n_cols),
             &mut scratch,
             &live_opts,
             exec.accum,
@@ -711,6 +739,7 @@ pub fn spgemm_budgeted(
             &mut values,
             &mut counts,
         );
+        counts.row(dense);
         indptr.push(indices.len());
         if values.len() > budget_nnz {
             live_opts.threshold = raised_threshold(&values, live_opts.threshold, budget_nnz);

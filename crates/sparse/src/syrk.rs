@@ -31,14 +31,16 @@
 //! `DegreeDiscounted` skip materializing the two full intermediate
 //! products entirely.
 //!
-//! Like the general kernel, each output row picks its accumulator
-//! adaptively (see [`crate::accum`]): wide rows scatter into per-term
-//! epoch-stamped dense accumulators with a shared duplicate-free touched
-//! list; narrow rows gather `(column, term, product)` triples and reduce
-//! them with a stable sort that reproduces the dense path's term-ordered
-//! rounding bit for bit. The width estimate is the row's full Σₜ Σₖ
-//! nnz(Xₜᵀ row k) product count — a deterministic function of the input
-//! structure alone, so the strategy mix never depends on thread count.
+//! A SYRK row is the general kernel's row body
+//! ([`crate::spgemm::product_row`]) over the terms, clipped to columns
+//! `[row, n)`, so each row picks its accumulator adaptively (see
+//! [`crate::accum`]): wide rows scatter into per-term zero-on-emit dense
+//! slots with one shared duplicate-free touched list; narrow rows gather
+//! `(column, term, product)` triples and reduce them with a stable sort
+//! that reproduces the dense path's term-ordered rounding bit for bit.
+//! The width estimate is the row's full Σₜ Σₖ nnz(Xₜᵀ row k) product
+//! count — a deterministic function of the input structure alone, so the
+//! strategy mix never depends on thread count.
 //!
 //! Parallelism, cancellation, budget degradation and observability all
 //! ride on the shared row-runner in [`crate::spgemm`]: work-stealing row
@@ -46,16 +48,12 @@
 //! adaptive-threshold degraded fallback, and the `spgemm.*` counters plus
 //! the SYRK-specific `spgemm.syrk_calls` / `spgemm.syrk_mirrored_nnz`.
 
-use crate::accum::AccumStrategy;
-use crate::accum::{
-    gather_scaled_term, reduce_pairs_terms, scatter_scaled_seen, DenseAccum, TouchStamp,
-};
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::exec::Exec;
 use crate::spgemm::{
-    compact_thresholded, emits, metric_names, raised_threshold, run_rows, spgemm_flops,
-    BudgetedSpgemm, RowKernelOutput, SpgemmCounts, SpgemmOptions,
+    compact_thresholded, metric_names, product_row, raised_threshold, run_rows, spgemm_flops,
+    BudgetedSpgemm, RowKernelOutput, RowScratch, SpgemmCounts, SpgemmOptions,
 };
 use crate::Result;
 use symclust_obs::MetricsRegistry;
@@ -94,122 +92,6 @@ fn check_terms(terms: &[SyrkTerm<'_>]) -> Result<usize> {
     Ok(n)
 }
 
-/// Per-worker scratch: one epoch-stamped dense accumulator per term, a
-/// shared duplicate-free touched-column list, and the triple buffer used
-/// by sparse rows.
-pub(crate) struct SyrkScratch {
-    pub(crate) accs: Vec<DenseAccum>,
-    pub(crate) seen: TouchStamp,
-    pub(crate) touched: Vec<u32>,
-    pub(crate) pairs: Vec<(u32, u32, f64)>,
-}
-
-impl SyrkScratch {
-    pub(crate) fn new(n: usize, n_terms: usize) -> Self {
-        SyrkScratch {
-            accs: (0..n_terms).map(|_| DenseAccum::new(n)).collect(),
-            seen: TouchStamp::new(n),
-            touched: Vec::new(),
-            pairs: Vec::new(),
-        }
-    }
-}
-
-/// Accumulates row `row` of `Σₜ Xₜ·Xₜᵀ`, upper triangle only, and emits
-/// the surviving entries in ascending column order.
-#[allow(clippy::too_many_arguments)]
-fn syrk_row(
-    terms: &[SyrkTerm<'_>],
-    row: usize,
-    scratch: &mut SyrkScratch,
-    opts: &SpgemmOptions,
-    accum: AccumStrategy,
-    indices: &mut Vec<u32>,
-    values: &mut Vec<f64>,
-    counts: &mut SpgemmCounts,
-) {
-    let emitted_before = indices.len();
-    // Width estimate for the strategy choice: the row's *full* product
-    // count across terms, a structure-only upper bound on the
-    // upper-triangle work below. Depends on the input and nothing else,
-    // so the dense/sparse mix is deterministic and thread-independent.
-    // The flops counter keeps its exact post-`partition_point` count.
-    let estimated_width: usize = terms
-        .iter()
-        .map(|term| {
-            term.x
-                .row_indices(row)
-                .iter()
-                .map(|&k| term.xt.row_nnz(k as usize))
-                .sum::<usize>()
-        })
-        .sum();
-    let SyrkScratch {
-        accs,
-        seen,
-        touched,
-        pairs,
-    } = scratch;
-    let distinct = if opts.row_is_dense(accum, estimated_width) {
-        counts.rows_dense += 1;
-        seen.begin_row();
-        touched.clear();
-        for (term, acc) in terms.iter().zip(accs.iter_mut()) {
-            acc.begin_row();
-            for (k, xv) in term.x.row_iter(row) {
-                let cols = term.xt.row_indices(k as usize);
-                let vals = term.xt.row_values(k as usize);
-                // Columns are sorted: everything from `start` on is j >= row.
-                let start = cols.partition_point(|&j| (j as usize) < row);
-                counts.flops += (cols.len() - start) as u64;
-                scatter_scaled_seen(acc, seen, touched, xv, &cols[start..], &vals[start..]);
-            }
-        }
-        // Emit in ascending column order so block-ordered assembly and
-        // the mirror pass see sorted rows regardless of strategy.
-        touched.sort_unstable();
-        for &j in touched.iter() {
-            // One final ordered add across terms: the same rounding as
-            // computing each product separately and ops::add-ing them.
-            // Terms that never touched `j` are skipped, eliding only
-            // `+ 0.0` adds that cannot change an emitted bit (see
-            // [`crate::accum::reduce_pairs_terms`]).
-            let mut v = 0.0f64;
-            for acc in accs.iter() {
-                if acc.touched(j) {
-                    v += acc.get(j);
-                }
-            }
-            if emits(v, j, row, opts) {
-                indices.push(j);
-                values.push(v);
-            }
-        }
-        touched.len() as u64
-    } else {
-        counts.rows_sparse += 1;
-        pairs.clear();
-        for (t, term) in terms.iter().enumerate() {
-            for (k, xv) in term.x.row_iter(row) {
-                let cols = term.xt.row_indices(k as usize);
-                let vals = term.xt.row_values(k as usize);
-                let start = cols.partition_point(|&j| (j as usize) < row);
-                counts.flops += (cols.len() - start) as u64;
-                gather_scaled_term(pairs, t as u32, xv, &cols[start..], &vals[start..]);
-            }
-        }
-        reduce_pairs_terms(pairs, |j, v| {
-            if emits(v, j, row, opts) {
-                indices.push(j);
-                values.push(v);
-            }
-        })
-    };
-    counts.rows += 1;
-    counts.touched += distinct;
-    counts.emitted += (indices.len() - emitted_before) as u64;
-}
-
 /// Mirrors an upper-triangular CSR (every stored column `j ≥` its row)
 /// into the full symmetric matrix in one O(nnz) pass. Returns the full
 /// CSR triple plus the number of lower-triangle entries materialized.
@@ -232,10 +114,11 @@ pub(crate) fn mirror_upper(
     }
     let mut indptr = Vec::with_capacity(n + 1);
     indptr.push(0usize);
+    let mut total = 0usize;
     for len in &full_len {
-        indptr.push(indptr.last().unwrap() + len);
+        total += len;
+        indptr.push(total);
     }
-    let total = *indptr.last().unwrap();
     let mirrored = (total - upper_indices.len()) as u64;
     let mut indices = vec![0u32; total];
     let mut values = vec![0.0f64; total];
@@ -300,11 +183,20 @@ pub fn spgemm_syrk_sum(
         n,
         exec.threads,
         exec.token.as_ref(),
-        || SyrkScratch::new(n, terms.len()),
-        |row, scratch: &mut SyrkScratch, indices, values, counts| {
-            syrk_row(
-                terms, row, scratch, opts, exec.accum, indices, values, counts,
+        || RowScratch::new(n, terms.len()),
+        |row, scratch: &mut RowScratch, indices, values, counts| {
+            let dense = product_row(
+                terms,
+                row,
+                (row, n),
+                scratch,
+                opts,
+                exec.accum,
+                indices,
+                values,
+                counts,
             );
+            counts.row(dense);
         },
     )?;
     let (indptr, indices, values, mirrored) =
@@ -351,7 +243,7 @@ pub fn spgemm_syrk_sum_budgeted(
     // pass may keep at most half of it (the mirror restores the rest).
     let upper_budget = (budget_nnz / 2).max(1);
     let mut compactions = 0u64;
-    let mut scratch = SyrkScratch::new(n, terms.len());
+    let mut scratch = RowScratch::new(n, terms.len());
     let mut indptr = Vec::with_capacity(n + 1);
     indptr.push(0usize);
     let mut indices: Vec<u32> = Vec::new();
@@ -360,9 +252,10 @@ pub fn spgemm_syrk_sum_budgeted(
     let mut counts = SpgemmCounts::default();
     for row in 0..n {
         exec.checkpoint()?;
-        syrk_row(
+        let dense = product_row(
             terms,
             row,
+            (row, n),
             &mut scratch,
             &live_opts,
             exec.accum,
@@ -370,6 +263,7 @@ pub fn spgemm_syrk_sum_budgeted(
             &mut values,
             &mut counts,
         );
+        counts.row(dense);
         indptr.push(indices.len());
         if values.len() > upper_budget {
             live_opts.threshold = raised_threshold(&values, live_opts.threshold, upper_budget);

@@ -1,6 +1,6 @@
 //! Property tests for the per-row adaptive accumulators.
 //!
-//! The contract under test (DESIGN.md §16): the dense epoch-stamped
+//! The contract under test (DESIGN.md §16): the dense zero-on-emit
 //! accumulator, the sorted sparse accumulator and any adaptive mix of the
 //! two produce **bit-identical** output for the general Gustavson kernel
 //! and the fused multi-term SYRK kernel, across thresholds, diagonal
@@ -259,6 +259,72 @@ fn forced_strategies_count_all_rows_on_one_side() {
             assert_eq!((d, s), (rows, 0));
         } else {
             assert_eq!((d, s), (0, rows));
+        }
+    }
+}
+
+mod emission;
+
+/// Forced-dense against forced-sparse (the oracle) on inputs that put
+/// every dense row on one emission path: the general kernel and 1- and
+/// 2-term SYRK sums, every threshold / `drop_diagonal` setting, 1 and 4
+/// threads — same structure, value bits and work counters, with the
+/// dense run counting every row the sparse run counts as sparse.
+#[test]
+fn each_emission_path_matches_forced_sparse() {
+    let cases = [
+        (
+            "whole-span",
+            emission::whole_span(0),
+            emission::whole_span(3),
+        ),
+        (
+            "scattered",
+            emission::scattered(true),
+            emission::scattered(false),
+        ),
+    ];
+    for (name, x, y) in &cases {
+        let (xt, yt) = (transpose(x), transpose(y));
+        let (swept, sorted) = emission::path_split(
+            &spgemm(
+                x,
+                &xt,
+                &SpgemmOptions::default(),
+                &exec(AccumStrategy::Dense, 1),
+            )
+            .unwrap(),
+        );
+        if *name == "whole-span" {
+            assert_eq!(sorted, 0, "{name}: every row must sweep its span");
+        } else {
+            assert!(
+                sorted > 2 * swept,
+                "{name}: {sorted} sorted vs {swept} swept"
+            );
+        }
+        for (threshold, drop_diagonal) in emission::FILTERS {
+            let o = SpgemmOptions {
+                threshold,
+                drop_diagonal,
+                accum_crossover: None,
+            };
+            for threads in [1, 4] {
+                for (kernel, run) in emission::products((x, &xt), (y, &yt), &o) {
+                    let ctx = format!(
+                        "{name} {kernel} threshold {threshold} drop {drop_diagonal} \
+                         threads {threads}"
+                    );
+                    let (dense, dc) = emission::counted(&exec(AccumStrategy::Dense, threads), &run);
+                    let (sparse, sc) =
+                        emission::counted(&exec(AccumStrategy::Sparse, threads), &run);
+                    emission::assert_same_bits(&dense, &sparse, &ctx);
+                    assert_eq!(dc[..3], sc[..3], "{ctx}: nnz / dropped counters");
+                    assert_eq!((dc[3], dc[4]), (sc[4], 0), "{ctx}: dense run row mix");
+                    assert_eq!(sc[3], 0, "{ctx}: sparse run row mix");
+                    assert!(dc[0] > 0, "{ctx}: nothing accumulated");
+                }
+            }
         }
     }
 }

@@ -16,8 +16,8 @@ use symclust_obs::MetricsRegistry;
 use symclust_sparse::ops::transpose;
 use symclust_sparse::spgemm::metric_names;
 use symclust_sparse::{
-    spgemm, spgemm_syrk_sum, CancelToken, CsrMatrix, Exec, PanelPlan, SparseError, SpgemmOptions,
-    SyrkTerm,
+    spgemm, spgemm_syrk_sum, AccumStrategy, CancelToken, CsrMatrix, Exec, PanelPlan, SparseError,
+    SpgemmOptions, SyrkTerm,
 };
 
 /// Minimal deterministic generator: Knuth's 64-bit LCG constants.
@@ -285,4 +285,53 @@ fn spill_files_are_removed_on_cancellation() {
         assert_eq!(r, Err(SparseError::Cancelled), "{n_threads} threads");
     }
     assert_empty_and_remove(&base, "after cancelled multiplies");
+}
+
+mod emission;
+
+/// The fixed one-emission-path inputs through the panel path at every
+/// panel size, against the in-memory kernels under forced-dense
+/// accumulation: tiles clip each row's span, so a tile can take the
+/// other emission path than the whole row, and the output bits and work
+/// counters must not notice.
+#[test]
+fn each_emission_path_matches_in_memory_through_panels() {
+    let cases = [
+        (
+            "whole-span",
+            emission::whole_span(0),
+            emission::whole_span(3),
+        ),
+        (
+            "scattered",
+            emission::scattered(true),
+            emission::scattered(false),
+        ),
+    ];
+    let dense = |exec: Exec| Exec {
+        accum: AccumStrategy::Dense,
+        ..exec
+    };
+    for (name, x, y) in &cases {
+        let (xt, yt) = (transpose(x), transpose(y));
+        for (threshold, drop_diagonal) in emission::FILTERS {
+            let o = SpgemmOptions {
+                threshold,
+                drop_diagonal,
+                accum_crossover: None,
+            };
+            for (kernel, run) in emission::products((x, &xt), (y, &yt), &o) {
+                let (reference, rc) = emission::counted(&dense(baseline_exec()), &run);
+                for panel_rows in PANEL_ROWS {
+                    let ctx = format!(
+                        "{name} {kernel} threshold {threshold} drop {drop_diagonal} \
+                         panel_rows {panel_rows}"
+                    );
+                    let (c, cc) = emission::counted(&dense(panel_exec(panel_rows, None)), &run);
+                    emission::assert_same_bits(&reference, &c, &ctx);
+                    assert_eq!(rc, cc, "{ctx}: work counters");
+                }
+            }
+        }
+    }
 }

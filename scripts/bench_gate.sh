@@ -57,11 +57,13 @@ cargo build --release -q -p symclust-cli -p symclust-bench
 # clusters.
 ./target/release/bench_gate oom-check
 
-# Perf trajectory: append {commit, wall_ms, flops, rows_dense, rows_sparse}
-# to the checked-in history so CI accumulates a wall-time record run over
-# run (set BENCH_GATE_NO_TRAJECTORY=1 to skip, e.g. for local experiments).
+# Perf trajectory: append {commit, wall_ms, flops, rows_dense, rows_sparse,
+# per-stage span seconds} from the gated run's metrics to the checked-in
+# history so CI accumulates a wall-time record run over run, stage by
+# stage (set BENCH_GATE_NO_TRAJECTORY=1 to skip, e.g. for local
+# experiments).
 if [ -z "${BENCH_GATE_NO_TRAJECTORY:-}" ]; then
   ./target/release/bench_gate trajectory \
-    "$OUT_DIR/BENCH_pipeline.json" bench_results/trajectory.jsonl \
+    "$OUT_DIR/metrics.json" bench_results/trajectory.jsonl \
     "$(git rev-parse HEAD 2>/dev/null || echo unknown)"
 fi
